@@ -331,9 +331,8 @@ int main() {
                              ? "computed-goto"
                              : "switch") +
              " dispatch); thr/event = threaded vs event+opt cycles/sec");
-  t.add_note("auto = default production policy; resolves per design to the "
-             "event or threaded backend by tape size (resolved mode in "
-             "parentheses)");
+  t.add_note("auto = default production policy; resolves to the threaded "
+             "backend for every design (resolved mode in parentheses)");
   t.add_note("tape ops column: comb ops as elaborated -> ops compiled after "
              "fold/dce/cse/fuse; pass column counts ops removed (fuse: "
              "rewrites)");

@@ -1,30 +1,40 @@
 // Region compiler for the threaded execution backend (chdl/threaded.hpp).
 //
 // The levelized op tape evaluates one opcode per dispatch; the threaded
-// backend instead executes whole *regions* — single-entry cones of
+// backend instead executes whole *regions* — fanout-free cones of
 // combinational logic between register / RAM / port boundaries — as
 // straight-line superop blocks. This header holds the region
 // partitioning itself, kept free of Simulator internals so the
 // invariants are unit-testable on plain graphs.
 //
 // Partitioning rule (deterministic, derived from the tape fanout table):
-// walking the tape in topological order, an op joins its producer's
-// region exactly when that producer is the region's current tail and the
-// producer's output has no other tape consumer; otherwise it opens a new
-// region. Regions are therefore maximal single-consumer chains (capped
-// at `max_region_ops`), which gives two structural guarantees:
 //
-//   * single entry / single exit: only the tail op's output is ever
-//     consumed by another region, so a region can be executed start to
-//     finish with no interior change checks, and inter-region dirtiness
-//     can be tracked by diffing region outputs only;
+//   * cones — walking the tape in topological order, each op absorbs
+//     every producer region whose root output it is the only tape
+//     consumer of, while the merged size stays within `max_region_ops`.
+//     The absorbed regions share no edges, so their blocks concatenated,
+//     then the op, stay in topological order. Regions are fanout-free
+//     cones: only a root (an op with no in-region consumer) ever feeds
+//     another region;
+//   * sibling groups — cones that read exactly the same set of external
+//     wires are always dirtied together and sit at the same level, so
+//     they are fused into one block. The cap does not apply: no member
+//     ever runs when it would not have run on its own (the TRT core's
+//     256 per-pattern LUT-row gates form one such block).
+//
+// This gives two structural guarantees:
+//
+//   * single entry: every cross-region edge leaves from an op with no
+//     in-region consumer, so a region can be executed start to finish
+//     with no interior change checks, and inter-region dirtiness can be
+//     tracked by diffing region outputs only;
 //   * the region DAG is acyclic and region levels (longest inter-region
 //     path) strictly increase along every edge, so a level-bucketed
 //     dirty worklist drains in one pass, exactly like the per-op tape.
 //
-// Intermediate (non-tail) wires may still feed sequential elements or be
-// observed by peeks/VCD; wires with sequential consumers are listed as
-// region outputs too so the edge scheduler sees their changes.
+// Interior wires may still feed sequential elements or be observed by
+// peeks/VCD; wires with sequential consumers are listed as region
+// outputs too so the edge scheduler sees their changes.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +61,10 @@ struct RegionGraph {
 };
 
 struct RegionBuildOptions {
-  /// Upper bound on ops per region. Longer chains amortize dispatch
-  /// better but re-execute more ops when an input in the middle of the
-  /// chain wiggles; 64 keeps the worst-case inflation bounded.
+  /// Upper bound on ops per cone. Bigger cones amortize dispatch better
+  /// but re-execute more ops when one leaf input wiggles; 64 keeps the
+  /// worst-case inflation bounded. Sibling groups (see above) may exceed
+  /// it.
   int max_region_ops = 64;
 };
 

@@ -44,9 +44,7 @@ void copy_bits(std::uint64_t* dst, int dst_lo, const std::uint64_t* src,
 }  // namespace
 
 Simulator::Simulator(const Design& design, const SimOptions& options)
-    : design_(design), mode_(options.mode),
-      auto_threaded_min_ops_(options.auto_threaded_min_ops),
-      region_opts_(options.region) {
+    : design_(design), mode_(options.mode), region_opts_(options.region) {
   design.check_complete();
   if (options.optimize) opt_.emplace(optimize(design, options.opt));
   // Allocate one flat slot per wire. A wire the optimizer forwarded
@@ -92,7 +90,7 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
   }
 
   cycle_count_.assign(static_cast<std::size_t>(design.clock_count()), 0);
-  levelize();
+  collect_components();
   if (opt_) {
     // An aliased component's output shares its representative's storage
     // slot, so the full sweep must never evaluate it: kinds that
@@ -103,13 +101,6 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       const Wire w = design.components()[static_cast<std::size_t>(i)].out;
       return opt_->forward[static_cast<std::size_t>(w.id)] != w.id;
     });
-    // CSE can alias a wire to a representative that is *not* among its
-    // transitive dependencies (two independent duplicate computations),
-    // so the Kahn order of the original graph no longer sequences the
-    // representative's producer before the alias's consumers. Creation
-    // order does: every input wire id precedes its consumer's output id,
-    // and the optimizer only ever rewrites inputs to earlier wires.
-    std::sort(comb_order_.begin(), comb_order_.end());
   }
   compile_tape();
 
@@ -130,20 +121,19 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       wire_lazy_[static_cast<std::size_t>(id)] = 1;
     }
   }
-  if (mode_ == EvalMode::kAuto) mode_ = resolve_auto();
-  if (mode_ == EvalMode::kThreaded) ensure_threaded();
+  if (mode_ == EvalMode::kAuto) mode_ = EvalMode::kThreaded;
+  ensure_backend();
   reset();
-}
-
-EvalMode Simulator::resolve_auto() const {
-  return tape_.size() >= auto_threaded_min_ops_ ? EvalMode::kThreaded
-                                                : EvalMode::kEventDriven;
 }
 
 Simulator::~Simulator() = default;
 
-void Simulator::ensure_threaded() {
-  if (!threaded_) {
+void Simulator::ensure_backend() {
+  // Each engine's structures are built on first selection only, so a
+  // simulator pays for the engine it runs, not for all of them.
+  if (mode_ != EvalMode::kThreaded) {
+    ensure_worklist();
+  } else if (!threaded_) {
     threaded_ = std::make_unique<ThreadedBackend>(*this, region_opts_);
   }
 }
@@ -171,11 +161,16 @@ const RegionPlan* Simulator::region_plan() const {
   return threaded_ ? &threaded_->plan() : nullptr;
 }
 
-void Simulator::levelize() {
+void Simulator::collect_components() {
+  // Creation order is topological for combinational logic: a component
+  // can only read wires that already exist (only registers are
+  // forward-declared), so every comb input's id precedes the output id.
+  // It also stays topological after optimization, because every rewrite
+  // (alias, CSE representative, fused operand) points at an
+  // earlier-created wire — unlike a levelized order of the original
+  // graph, in which a CSE representative need not precede its merged
+  // twin's consumers.
   const auto& comps = design_.components();
-  // Producer component for each wire (combinational components only).
-  std::vector<std::int32_t> producer(slots_.size(), -1);
-  std::vector<std::int32_t> comb;
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(comps.size()); ++i) {
     const Component& c = comps[static_cast<std::size_t>(i)];
     switch (c.kind) {
@@ -189,46 +184,15 @@ void Simulator::levelize() {
       case CompKind::kOutput:
         break;
       default:
-        comb.push_back(i);
-        if (c.out.valid()) producer[static_cast<std::size_t>(c.out.id)] = i;
+        for (const Wire w : c.in) {
+          if (w.valid() && w.id >= c.out.id) {
+            throw util::Error("combinational cycle in design '" +
+                              design_.name() + "' involving component #" +
+                              std::to_string(i));
+          }
+        }
+        comb_order_.push_back(i);
         break;
-    }
-  }
-  // Kahn's algorithm over the comb-only dependency graph.
-  std::vector<std::int32_t> indegree(comps.size(), 0);
-  std::vector<std::vector<std::int32_t>> dependents(comps.size());
-  for (const std::int32_t i : comb) {
-    const Component& c = comps[static_cast<std::size_t>(i)];
-    for (const Wire w : c.in) {
-      if (!w.valid()) continue;
-      const std::int32_t p = producer[static_cast<std::size_t>(w.id)];
-      if (p >= 0) {
-        ++indegree[static_cast<std::size_t>(i)];
-        dependents[static_cast<std::size_t>(p)].push_back(i);
-      }
-    }
-  }
-  std::vector<std::int32_t> ready;
-  for (const std::int32_t i : comb) {
-    if (indegree[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  }
-  comb_order_.clear();
-  comb_order_.reserve(comb.size());
-  while (!ready.empty()) {
-    const std::int32_t i = ready.back();
-    ready.pop_back();
-    comb_order_.push_back(i);
-    for (const std::int32_t d : dependents[static_cast<std::size_t>(i)]) {
-      if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-    }
-  }
-  if (comb_order_.size() != comb.size()) {
-    // Find one offender for the message.
-    for (const std::int32_t i : comb) {
-      if (indegree[static_cast<std::size_t>(i)] > 0) {
-        throw util::Error("combinational cycle in design '" + design_.name() +
-                          "' involving component #" + std::to_string(i));
-      }
     }
   }
 }
@@ -239,23 +203,17 @@ void Simulator::compile_tape() {
   std::vector<std::int32_t> level_of_wire(slots_.size(), -1);
   tape_.clear();
   tape_.reserve(comb_order_.size());
-  // Effective inputs per tape op: the component's inputs resolved
-  // through the optimizer's forwarding map, or the fused operands when
-  // the peephole pass rewrote the op. Used for levels, word offsets and
-  // the fanout table so dirtiness propagates along the optimized graph.
-  std::vector<std::vector<Wire>> tape_ins;
-  tape_ins.reserve(comb_order_.size());
+  // Effective inputs per tape op, kept as a CSR: the component's inputs
+  // resolved through the optimizer's forwarding map, or the fused
+  // operands when the peephole pass rewrote the op. Used for levels,
+  // word offsets, the event-driven fanout table and the threaded
+  // backend's region compiler (Simulator::region_graph), so dirtiness
+  // propagates along the optimized graph.
+  tape_in_begin_.assign(1, 0);
+  tape_in_wires_.clear();
+  std::vector<Wire> ins;
   int max_level = 0;
-  // The tape is laid down in component-creation order, NOT comb_order_:
-  // creation order is topological for the elaborated graph (a
-  // component's inputs always exist before it), and it stays topological
-  // after optimization because every rewrite (alias, CSE representative,
-  // fused operand) points at an earlier-created wire. comb_order_ is
-  // only a topological order of the *original* graph — a CSE
-  // representative need not precede its merged twin's consumers there.
-  std::vector<std::int32_t> creation_order(comb_order_);
-  std::sort(creation_order.begin(), creation_order.end());
-  for (const std::int32_t i : creation_order) {
+  for (const std::int32_t i : comb_order_) {
     if (opt_ && !opt_->comp_alive[static_cast<std::size_t>(i)]) continue;
     const Component& c = comps[static_cast<std::size_t>(i)];
     const WireSlot& out = slots_[static_cast<std::size_t>(c.out.id)];
@@ -272,12 +230,11 @@ void Simulator::compile_tape() {
       const auto it = opt_->fused.find(i);
       if (it != opt_->fused.end()) fc = &it->second;
     }
-    std::vector<Wire> ins;
+    ins.clear();
     if (fc != nullptr) {
       ins.push_back(fc->in0);
       if (fc->in1.valid()) ins.push_back(fc->in1);
     } else {
-      ins.reserve(c.in.size());
       for (const Wire w : c.in) {
         if (!w.valid()) continue;
         ins.push_back(opt_ ? opt_->rep(w) : w);
@@ -299,6 +256,7 @@ void Simulator::compile_tape() {
       }
       return true;
     };
+    std::int32_t in0_word = 0;  // word of input 0 a single-word op reads
     if (fc != nullptr) {
       // Fused opcodes are produced only for single-word operands.
       op.fused = fc->op;
@@ -321,6 +279,13 @@ void Simulator::compile_tape() {
           op.single = all_single();
           break;
         case CompKind::kSlice:
+          // A slice that lies inside one 64-bit word of its input, however
+          // wide that input is, is a single-word shift-and-mask of that
+          // word (the 256-bit TRT LUT row's per-pattern bit selects).
+          op.single = c.a % 64 + out.width <= 64;
+          op.a = c.a % 64;
+          in0_word = c.a / 64;
+          break;
         case CompKind::kShl:
         case CompKind::kShr:
           // c.a >= 64 would make the word shift UB; the general path
@@ -342,7 +307,7 @@ void Simulator::compile_tape() {
       auto off = [&](std::size_t k) {
         return slots_[static_cast<std::size_t>(ins[k].id)].offset;
       };
-      if (ins.size() > 0) op.in0 = off(0);
+      if (ins.size() > 0) op.in0 = off(0) + in0_word;
       if (ins.size() > 1) op.in1 = off(1);
       if (ins.size() > 2) op.in2 = off(2);
       if (fc == nullptr && c.kind == CompKind::kReduceAnd) {
@@ -350,35 +315,32 @@ void Simulator::compile_tape() {
       }
     }
     tape_.push_back(op);
-    tape_ins.push_back(std::move(ins));
+    for (const Wire w : ins) tape_in_wires_.push_back(w.id);
+    tape_in_begin_.push_back(static_cast<std::int32_t>(tape_in_wires_.size()));
   }
-  level_queue_.assign(static_cast<std::size_t>(max_level + 1), {});
+  comb_levels_ = max_level + 1;
+}
+
+void Simulator::ensure_worklist() {
+  if (!fan_begin_.empty()) return;
+  level_queue_.assign(static_cast<std::size_t>(comb_levels_), {});
   queued_.assign(tape_.size(), 0);
-
-  // Retain the per-op input wires as a CSR: the threaded backend's
-  // region compiler consumes them (Simulator::region_graph).
-  tape_in_begin_.assign(tape_.size() + 1, 0);
-  tape_in_wires_.clear();
-  for (std::size_t t = 0; t < tape_ins.size(); ++t) {
-    for (const Wire w : tape_ins[t]) tape_in_wires_.push_back(w.id);
-    tape_in_begin_[t + 1] = static_cast<std::int32_t>(tape_in_wires_.size());
-  }
-
   // Per-wire fanout CSR: wire id -> tape ops that consume it.
-  std::vector<std::int32_t> counts(slots_.size() + 1, 0);
-  for (const auto& ins : tape_ins) {
-    for (const Wire w : ins) ++counts[static_cast<std::size_t>(w.id)];
-  }
   fan_begin_.assign(slots_.size() + 1, 0);
+  for (const std::int32_t w : tape_in_wires_) {
+    ++fan_begin_[static_cast<std::size_t>(w) + 1];
+  }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    fan_begin_[i + 1] = fan_begin_[i] + counts[i];
+    fan_begin_[i + 1] += fan_begin_[i];
   }
   fan_ops_.assign(static_cast<std::size_t>(fan_begin_.back()), 0);
   std::vector<std::int32_t> cursor(fan_begin_.begin(), fan_begin_.end() - 1);
   for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size()); ++t) {
-    for (const Wire w : tape_ins[static_cast<std::size_t>(t)]) {
+    for (std::int32_t i = tape_in_begin_[static_cast<std::size_t>(t)];
+         i < tape_in_begin_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const std::int32_t w = tape_in_wires_[static_cast<std::size_t>(i)];
       fan_ops_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(w.id)]++)] = t;
+          cursor[static_cast<std::size_t>(w)]++)] = t;
     }
   }
 }
@@ -398,23 +360,26 @@ void Simulator::mark_wire_dirty(std::int32_t wire_id) {
 }
 
 void Simulator::mark_all_dirty() {
-  for (auto& q : level_queue_) q.clear();
-  std::fill(queued_.begin(), queued_.end(), 1);
-  for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size()); ++t) {
-    level_queue_[static_cast<std::size_t>(
-        tape_[static_cast<std::size_t>(t)].level)].push_back(t);
+  if (!fan_begin_.empty()) {
+    for (auto& q : level_queue_) q.clear();
+    std::fill(queued_.begin(), queued_.end(), 1);
+    for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size());
+         ++t) {
+      level_queue_[static_cast<std::size_t>(
+          tape_[static_cast<std::size_t>(t)].level)].push_back(t);
+    }
+    dirty_count_ = static_cast<std::int64_t>(tape_.size());
   }
-  dirty_count_ = static_cast<std::int64_t>(tape_.size());
   comb_dirty_ = true;
   lazy_stale_ = true;
   if (threaded_) threaded_->mark_all();
 }
 
 void Simulator::set_eval_mode(EvalMode mode) {
-  if (mode == EvalMode::kAuto) mode = resolve_auto();
+  if (mode == EvalMode::kAuto) mode = EvalMode::kThreaded;
   if (mode == mode_) return;
   mode_ = mode;
-  if (mode == EvalMode::kThreaded) ensure_threaded();
+  ensure_backend();
   // Everything is re-evaluated on the next peek/step so stale values
   // cannot leak across the policy switch: marks only land on the active
   // backend's worklists while a mode runs, so the rebuild here is what

@@ -6,21 +6,24 @@
 // memory contents when an address is written on the same edge
 // (read-before-write).
 //
-// Three evaluation policies are available:
+// During elaboration the combinational netlist is compiled, in
+// component-creation order (which is topological), into a flat "op
+// tape" of POD records (opcode, input/output word offsets, width mask,
+// level). A slice that lies inside one 64-bit word of a wider wire
+// compiles to a single-word op on that word. Three evaluation policies
+// run over it:
 //
-//  * kEventDriven (default): during elaboration the combinational
-//    netlist is levelized and compiled into a flat "op tape" of POD
-//    records (opcode, input/output word offsets, width mask), and a
-//    per-wire fanout table is built. Pokes and edge commits mark only
-//    the fanout of wires whose value actually changed; evaluation
-//    drains a level-bucketed dirty worklist, and a component's change
-//    propagates onward only if its output changed. Quiescent logic
-//    costs nothing.
+//  * kEventDriven (default for a bare Simulator): a per-wire fanout
+//    table drives a level-bucketed dirty worklist. Pokes and edge
+//    commits mark only the fanout of wires whose value actually
+//    changed, and a component's change propagates onward only if its
+//    output changed. Quiescent logic costs nothing.
 //  * kThreaded: the op tape is re-compiled into region superops
-//    executed by a computed-goto threaded dispatcher, and sequential
-//    commits become event-driven too (see chdl/threaded.hpp). Fastest
-//    backend; bit-identical to the other two by construction and by
-//    the differential fuzzers.
+//    (fanout-free cones, chdl/region.hpp) executed by a computed-goto
+//    threaded dispatcher, and sequential commits become event-driven
+//    too (see chdl/threaded.hpp). Fastest backend on every tape,
+//    large or small; bit-identical to the other two by construction
+//    and by the differential fuzzers. kAuto resolves to it.
 //  * kFullSweep: the original policy — every combinational component is
 //    re-evaluated in topological order whenever anything might have
 //    changed. Kept as an independent cross-check implementation for
@@ -52,7 +55,7 @@ enum class EvalMode {
   kEventDriven,  // dirty-worklist over the compiled op tape
   kThreaded,     // region superops + computed-goto dispatch
   kFullSweep,    // re-evaluate everything (reference cross-check path)
-  kAuto,         // pick threaded vs event-driven by compiled tape size
+  kAuto,         // the fastest engine: resolves to kThreaded
 };
 
 /// Simulator construction options. The netlist optimizer
@@ -64,13 +67,6 @@ struct SimOptions {
   OptimizeOptions opt{};
   /// Region partitioning knobs for EvalMode::kThreaded.
   RegionBuildOptions region{};
-  /// EvalMode::kAuto threshold: tapes with at least this many compiled
-  /// ops get the threaded region-superop engine; smaller tapes stay on
-  /// the event-driven worklist, whose per-op dispatch is cheaper than a
-  /// region plan that can barely amortize its shadow-diff checks
-  /// (BENCH_simspeed: the 46-op conv tape runs ~6% faster event-driven,
-  /// the 2860-op TRT tape ~10x faster threaded).
-  std::size_t auto_threaded_min_ops = 256;
 };
 
 /// Work counters for speed reporting and activity-based tuning.
@@ -83,9 +79,10 @@ struct SimActivity {
 class Simulator {
  public:
   /// Elaborates the design: runs the netlist optimizer (unless
-  /// disabled), levelizes combinational logic (throwing util::Error on
-  /// a combinational cycle), compiles the op tape, allocates flat
-  /// storage and applies power-up values.
+  /// disabled), compiles combinational logic into the levelled op tape
+  /// (throwing util::Error on a combinational cycle), builds the
+  /// selected engine, allocates flat storage and applies power-up
+  /// values.
   Simulator(const Design& design, const SimOptions& options);
   explicit Simulator(const Design& design,
                      EvalMode mode = EvalMode::kEventDriven)
@@ -95,12 +92,11 @@ class Simulator {
   const Design& design() const { return design_; }
 
   /// The resolved evaluation policy — never kAuto: auto resolves to
-  /// kThreaded or kEventDriven against the compiled tape at
-  /// construction (or inside set_eval_mode).
+  /// kThreaded at construction (or inside set_eval_mode).
   EvalMode eval_mode() const { return mode_; }
   /// Switches the evaluation policy; all combinational state is
   /// re-evaluated on the next peek/step, so results are unaffected.
-  /// kAuto re-resolves against the tape size.
+  /// Each engine's structures are built the first time it is selected.
   void set_eval_mode(EvalMode mode);
 
   const SimActivity& activity() const { return activity_; }
@@ -160,10 +156,10 @@ class Simulator {
 
   /// Levelization depth of the combinational netlist (longest
   /// comb path, in components).
-  int comb_levels() const { return static_cast<int>(level_queue_.size()); }
+  int comb_levels() const { return comb_levels_; }
 
-  /// Number of ops compiled onto the event-driven tape (after the
-  /// optimizer, when enabled).
+  /// Number of ops compiled onto the op tape (after the optimizer, when
+  /// enabled).
   std::size_t tape_ops() const { return tape_.size(); }
   /// True when the netlist optimizer ran at construction.
   bool optimized() const { return opt_.has_value(); }
@@ -221,12 +217,12 @@ class Simulator {
   bool eval_op(const Op& op);
   void refresh_lazy();
   void commit_edge(ClockId clock);
-  void levelize();
+  void collect_components();
   void compile_tape();
   void mark_wire_dirty(std::int32_t wire_id);
   void mark_all_dirty();
-  void ensure_threaded();
-  EvalMode resolve_auto() const;
+  void ensure_backend();
+  void ensure_worklist();
   void store(Wire w, const BitVec& v);
   BitVec load(Wire w) const;
 
@@ -235,7 +231,7 @@ class Simulator {
   std::optional<OptimizedNetlist> opt_;  // engaged iff optimizer enabled
   std::vector<WireSlot> slots_;
   std::vector<std::uint64_t> values_;
-  std::vector<std::int32_t> comb_order_;   // component indices, topological
+  std::vector<std::int32_t> comb_order_;   // comb components, creation order
   std::vector<std::int32_t> seq_comps_;    // kReg / kRamRead / kRamWrite
   std::vector<std::vector<std::uint64_t>> ram_data_;  // flat words per RAM
   std::vector<std::int32_t> ram_stride_;   // words per RAM entry
@@ -245,12 +241,17 @@ class Simulator {
   bool comb_dirty_ = true;                 // full-sweep mode only
   EdgeHook edge_hook_;
 
-  // Event-driven machinery.
-  std::vector<Op> tape_;                   // comb ops in comb_order_ order
-  std::vector<std::int32_t> fan_begin_;    // wire id -> [begin,end) CSR ...
-  std::vector<std::int32_t> fan_ops_;      // ... over dependent tape indices
+  // The compiled op tape, shared by the event-driven and threaded
+  // engines.
+  std::vector<Op> tape_;                   // comb ops, creation order
   std::vector<std::int32_t> tape_in_begin_;  // tape op -> input wires CSR ...
   std::vector<std::int32_t> tape_in_wires_;  // ... (optimizer-resolved ids)
+  int comb_levels_ = 0;                    // tape levels (max level + 1)
+  // Event-driven worklist, built only when a non-threaded mode is
+  // selected (ensure_worklist; empty fan_begin_ = not built). The full
+  // sweep shares its commit path, so it uses these too.
+  std::vector<std::int32_t> fan_begin_;    // wire id -> [begin,end) CSR ...
+  std::vector<std::int32_t> fan_ops_;      // ... over dependent tape indices
   std::vector<std::vector<std::int32_t>> level_queue_;  // dirty worklist
   std::vector<std::uint8_t> queued_;       // per tape op
   std::int64_t dirty_count_ = 0;
@@ -262,8 +263,6 @@ class Simulator {
   std::vector<std::uint8_t> wire_lazy_;    // per wire: driven by a dead comp
   bool lazy_stale_ = true;
   SimActivity activity_;
-
-  std::size_t auto_threaded_min_ops_ = 256;
 
   // Threaded backend (chdl/threaded.hpp); built lazily on first use of
   // EvalMode::kThreaded and kept across mode switches.

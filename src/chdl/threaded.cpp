@@ -67,7 +67,6 @@ ThreadedBackend::ThreadedBackend(Simulator& sim,
   shadow_.assign(sim_.values_.size(), 0);
   buckets_.assign(static_cast<std::size_t>(plan_.max_level) + 1, {});
   region_queued_.assign(plan_.regions.size(), 0);
-  mark_all();
 }
 
 void ThreadedBackend::decode_tape() {
@@ -147,6 +146,8 @@ void ThreadedBackend::build_seq_tape() {
   ram_readers_.assign(sim_.design_.rams().size(), {});
   // (wire, consuming SeqOp) edges for the fanout CSR below.
   std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+  edges.reserve(3 * sim_.seq_comps_.size());
+  seq_ops_.reserve(sim_.seq_comps_.size());
   for (const std::int32_t i : sim_.seq_comps_) {
     const Component& c = comps[static_cast<std::size_t>(i)];
     const std::int32_t si = static_cast<std::int32_t>(seq_ops_.size());

@@ -16,9 +16,10 @@
 //    ATLANTIS_THREADED_FORCE_SWITCH is defined, a portable switch loop
 //    executes the identical handler bodies;
 //  * region superops — chdl/region.hpp partitions the tape into
-//    single-entry chains executed as straight-line blocks: no per-op
-//    queue flags, one change check at the region outputs (diffed
-//    against a shadow copy of the last value each consumer saw);
+//    fanout-free cones (plus sibling groups of cones that read the same
+//    wires) executed as straight-line blocks: no per-op queue flags, one
+//    change check at the region outputs (diffed against a shadow copy of
+//    the last value each consumer saw);
 //  * an event-driven edge tape — sequential components are compiled
 //    into SeqOp records and latched only when marked dirty by a fanin
 //    change (registers are idempotent once their inputs are stable; an
@@ -99,7 +100,9 @@ struct TOp {
 /// The compiled backend for one Simulator. Owns the region plan, the
 /// decoded superop blocks, the shadow value copy and the sequential
 /// edge tape; the Simulator forwards poke/eval/step/write_ram events
-/// here when its mode is EvalMode::kThreaded.
+/// here when its mode is EvalMode::kThreaded (which kAuto resolves to).
+/// Construction leaves nothing marked: the Simulator calls mark_all()
+/// right after building the backend.
 class ThreadedBackend {
  public:
   ThreadedBackend(Simulator& sim, const RegionBuildOptions& opts);

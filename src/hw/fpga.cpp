@@ -239,7 +239,9 @@ ReconfigOutcome FpgaDevice::load_regions(const std::vector<int>& regions,
   outcome.regions_total = family_->config_regions;
   outcome.differential = differential;
   const util::Picoseconds frame = region_time();
-  for (int region : regions) {
+  // One frame per listed region; which region it is does not change
+  // its cost or its CRC draw.
+  for (std::size_t k = 0; k < regions.size(); ++k) {
     bool loaded = false;
     for (int attempt = 1; attempt <= max_region_attempts; ++attempt) {
       outcome.time += frame;

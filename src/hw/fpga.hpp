@@ -111,9 +111,8 @@ class FpgaDevice {
 
   /// Process-wide default SimOptions for simulators built by
   /// configure()/partial_reconfigure()/activate(). Ships with
-  /// EvalMode::kAuto — per-design backend selection that picks the
-  /// threaded region-superop engine for large tapes and the lighter
-  /// event-driven engine for small ones (chdl/sim.hpp) — while plain
+  /// EvalMode::kAuto, which resolves to the threaded region-superop
+  /// engine, the fastest on every tape (chdl/sim.hpp), while plain
   /// `chdl::Simulator` construction elsewhere keeps the event-driven
   /// default. Mutate the reference (e.g. in a benchmark harness) to
   /// change the fleet-wide policy; per-device overrides go through

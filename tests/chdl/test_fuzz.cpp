@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "chdl/builder.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/vcd.hpp"
 #include "util/rng.hpp"
@@ -354,12 +355,48 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-class SequentialFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// The TRT core's shape with random sizes: a >=128-bit row (a ROM read
+/// port or a register fed from the pool) sliced bit by bit into
+/// valid-gated counters with a clear, read back through a HostRegFile
+/// mux chain. It exercises in-word slice lowering, sibling-group regions
+/// (the per-bit gates) and cone regions (the mux chain).
+Design wide_row_design(util::Rng& rng) {
+  Design d("rowfuzz");
+  HostRegFile hrf(d, /*addr_bits=*/9, /*data_bits=*/16);
+  const int width = 128 + static_cast<int>(rng.next_below(129));
+  const Wire in = d.input("in", 1 + static_cast<int>(rng.next_below(70)));
+  Wire row{};
+  if (rng.next_below(2) == 0) {
+    std::vector<BitVec> rows;
+    for (int i = 0; i < 16; ++i) rows.push_back(random_bits(rng, width));
+    const int rom = d.add_rom("lut", std::move(rows));
+    row = d.ram_read(rom, d.resize(hrf.wdata(), 4), hrf.we());
+  } else {
+    row = d.reg("row", d.resize(d.concat({in, hrf.wdata(), in}), width));
+  }
+  const Wire valid = d.reg("valid", d.bxor(d.resize(in, 1), hrf.we()));
+  // Clear on host writes to the top eighth of the address space: often
+  // enough under random pokes to exercise the reset path.
+  const Wire clear =
+      d.band(hrf.we(), d.reduce_and(d.slice(hrf.addr(), 6, 3)));
+  const int counter_bits = 1 + static_cast<int>(rng.next_below(12));
+  const Wire one = d.constant(counter_bits, 1);
+  for (int p = 0; p < width; ++p) {
+    RegOpts opts;
+    opts.enable = d.band(valid, d.bit(row, p));
+    opts.reset = clear;
+    const Wire q = d.reg_forward("cnt" + std::to_string(p), counter_bits, opts);
+    d.reg_connect(q, d.add(q, one));
+    hrf.map_read(static_cast<std::uint32_t>(p), q);
+  }
+  hrf.finish();
+  return d;
+}
 
-TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
-  util::Rng rng(GetParam() * 7919 + 13);
-  const Design d = random_seq_design(rng, 140);
-
+/// Five evaluation policies against one reference, over 50 clocked
+/// cycles of random pokes: every wire, RAM word and VCD byte must agree.
+void expect_engines_match(const Design& d, util::Rng& rng,
+                          const std::string& tag) {
   // Five evaluation policies against one reference: the unoptimized
   // full sweep. "event" exercises the dirty worklist alone; "opted"
   // additionally runs the fold/dce/cse/fuse netlist optimizer, so this
@@ -386,7 +423,6 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
   Simulator opted(d, opt_opts);
   Simulator thr_raw(d, thr_raw_opts);
   Simulator thr_opt(d, thr_opt_opts);
-  const std::string tag = std::to_string(GetParam());
   const std::string full_vcd =
       ::testing::TempDir() + "/fuzz_full_" + tag + ".vcd";
   const std::string event_vcd =
@@ -421,16 +457,16 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
         const Wire w{id, d.wire_width(id)};
         ASSERT_EQ(full.peek(w), event.peek(w))
             << "wire " << id << ", cycle " << cycle << ", seed "
-            << GetParam();
+            << tag;
         ASSERT_EQ(full.peek(w), opted.peek(w))
             << "optimized wire " << id << ", cycle " << cycle << ", seed "
-            << GetParam();
+            << tag;
         ASSERT_EQ(full.peek(w), thr_raw.peek(w))
             << "threaded wire " << id << ", cycle " << cycle << ", seed "
-            << GetParam();
+            << tag;
         ASSERT_EQ(full.peek(w), thr_opt.peek(w))
             << "threaded+opt wire " << id << ", cycle " << cycle
-            << ", seed " << GetParam();
+            << ", seed " << tag;
       }
       full.step();
       event.step();
@@ -440,29 +476,46 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
     }
   }
   // Memory images must agree word for word.
-  for (std::int64_t a = 0; a < 32; ++a) {
-    EXPECT_EQ(full.read_ram(0, a), event.read_ram(0, a))
-        << "RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), opted.read_ram(0, a))
-        << "optimized RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), thr_raw.read_ram(0, a))
-        << "threaded RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), thr_opt.read_ram(0, a))
-        << "threaded+opt RAM word " << a << ", seed " << GetParam();
+  for (int m = 0; m < static_cast<int>(d.rams().size()); ++m) {
+    for (std::int64_t a = 0; a < d.rams()[static_cast<std::size_t>(m)].words;
+         ++a) {
+      EXPECT_EQ(full.read_ram(m, a), event.read_ram(m, a))
+          << "RAM " << m << " word " << a << ", seed " << tag;
+      EXPECT_EQ(full.read_ram(m, a), opted.read_ram(m, a))
+          << "optimized RAM " << m << " word " << a << ", seed " << tag;
+      EXPECT_EQ(full.read_ram(m, a), thr_raw.read_ram(m, a))
+          << "threaded RAM " << m << " word " << a << ", seed " << tag;
+      EXPECT_EQ(full.read_ram(m, a), thr_opt.read_ram(m, a))
+          << "threaded+opt RAM " << m << " word " << a << ", seed " << tag;
+    }
   }
   // Identical samples => byte-identical waveforms.
   const std::string full_bytes = slurp(full_vcd);
   ASSERT_FALSE(full_bytes.empty());
-  EXPECT_EQ(full_bytes, slurp(event_vcd)) << "seed " << GetParam();
-  EXPECT_EQ(full_bytes, slurp(opted_vcd)) << "optimized seed " << GetParam();
-  EXPECT_EQ(full_bytes, slurp(thr_raw_vcd)) << "threaded seed " << GetParam();
+  EXPECT_EQ(full_bytes, slurp(event_vcd)) << "seed " << tag;
+  EXPECT_EQ(full_bytes, slurp(opted_vcd)) << "optimized seed " << tag;
+  EXPECT_EQ(full_bytes, slurp(thr_raw_vcd)) << "threaded seed " << tag;
   EXPECT_EQ(full_bytes, slurp(thr_opt_vcd))
-      << "threaded+opt seed " << GetParam();
+      << "threaded+opt seed " << tag;
   std::remove(full_vcd.c_str());
   std::remove(event_vcd.c_str());
   std::remove(opted_vcd.c_str());
   std::remove(thr_raw_vcd.c_str());
   std::remove(thr_opt_vcd.c_str());
+}
+
+class SequentialFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
+  util::Rng rng(GetParam() * 7919 + 13);
+  expect_engines_match(random_seq_design(rng, 140), rng,
+                       std::to_string(GetParam()));
+}
+
+TEST_P(SequentialFuzz, WideRowCountersMatchFullSweep) {
+  util::Rng rng(GetParam() * 104729 + 7);
+  expect_engines_match(wide_row_design(rng), rng,
+                       "row" + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SequentialFuzz,

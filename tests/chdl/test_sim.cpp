@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace atlantis::chdl {
@@ -247,6 +250,51 @@ TEST(Sim, WideDatapath176Bits) {
   EXPECT_TRUE(x.bit(0));
   EXPECT_FALSE(x.bit(175));
   EXPECT_EQ(sim.peek_u64("any"), 1u);
+}
+
+// A slice of a multi-word wire that lies inside one 64-bit word compiles
+// to a single-word op on that word; one that straddles a word boundary
+// stays on the general path. Both must equal BitVec::slice on every
+// engine, fed from a port and from a register (the TRT LUT row's shape).
+TEST(Sim, InWordSlicesOfWideWiresMatchBitVec) {
+  struct Cut {
+    int lo, width;
+  };
+  const Cut cuts[] = {{0, 64},  {5, 7},   {63, 1}, {64, 64},
+                      {100, 20}, {191, 1}, {255, 1},
+                      {60, 8}};  // straddles bits 63|64: general path
+  Design d("slices");
+  const Wire row = d.input("row", 256);
+  const Wire held = d.reg("held", row);
+  for (std::size_t k = 0; k < std::size(cuts); ++k) {
+    const std::string n = std::to_string(k);
+    d.output("p" + n, d.slice(row, cuts[k].lo, cuts[k].width));
+    d.output("r" + n, d.slice(held, cuts[k].lo, cuts[k].width));
+  }
+  util::Rng rng(256);
+  for (const EvalMode mode :
+       {EvalMode::kEventDriven, EvalMode::kThreaded, EvalMode::kFullSweep}) {
+    Simulator sim(d, mode);
+    BitVec prev(256);
+    for (int cycle = 0; cycle < 20; ++cycle) {
+      BitVec v(256);
+      for (auto& word : v.words()) word = rng.next_u64();
+      sim.poke(row, v);
+      for (std::size_t k = 0; k < std::size(cuts); ++k) {
+        const std::string n = std::to_string(k);
+        EXPECT_EQ(sim.peek(d.port("p" + n)),
+                  v.slice(cuts[k].lo, cuts[k].width))
+            << "port slice lo=" << cuts[k].lo << " mode "
+            << static_cast<int>(mode);
+        EXPECT_EQ(sim.peek(d.port("r" + n)),
+                  prev.slice(cuts[k].lo, cuts[k].width))
+            << "register slice lo=" << cuts[k].lo << " mode "
+            << static_cast<int>(mode);
+      }
+      sim.step();
+      prev = v;
+    }
+  }
 }
 
 TEST(Sim, PokeRejectsNonInputs) {

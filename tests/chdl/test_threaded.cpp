@@ -17,6 +17,7 @@
 #include "chdl/region.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/verify.hpp"
+#include "imgproc/conv_core.hpp"
 #include "trt/trt_core.hpp"
 #include "util/rng.hpp"
 
@@ -65,15 +66,32 @@ TEST(Region, PlanIsDeterministic) {
   }
 }
 
+/// The TRT core at the benchmark's size: 16x64 straws, 256 patterns.
+Design trt_core_fixture() {
+  trt::DetectorGeometry geo;
+  geo.layers = 16;
+  geo.straws_per_layer = 64;
+  Design d("trt_core");
+  trt::build_trt_core(d, trt::PatternBank(geo, 256));
+  return d;
+}
+
+Design conv_core_fixture() {
+  Design d("conv_core");
+  imgproc::build_conv_core(d, 256, imgproc::Kernel3x3::gaussian());
+  return d;
+}
+
 /// The executor's correctness argument: (1) every op belongs to exactly
-/// one region; (2) only a region's TAIL output ever feeds another
-/// region, so executing a region straight-line with one change check at
-/// its outputs is sound; (3) region levels strictly increase along
-/// inter-region edges, so the level-bucketed worklist drains in one
-/// pass; (4) the diffed output set covers exactly the externally
-/// consumed and sequentially consumed wires.
-TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
-  const Design d = plan_fixture();
+/// one region, after its in-region producers; (2) every cross-region
+/// edge leaves from an op with no in-region consumer (a cone root), so
+/// executing a region straight-line with one change check at its outputs
+/// is sound; (3) region levels strictly increase along inter-region
+/// edges, so the level-bucketed worklist drains in one pass; (4) the
+/// diffed output set covers exactly the externally consumed and
+/// sequentially consumed wires.
+void expect_region_invariants(const Design& d) {
+  SCOPED_TRACE(d.name());
   Simulator sim(d, SimOptions{.mode = EvalMode::kThreaded});
   const RegionGraph g = sim.region_graph();
   const RegionPlan* plan = sim.region_plan();
@@ -83,12 +101,26 @@ TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
   ASSERT_EQ(plan->op_order.size(), static_cast<std::size_t>(g.op_count()));
   std::set<std::int32_t> seen(plan->op_order.begin(), plan->op_order.end());
   EXPECT_EQ(seen.size(), plan->op_order.size());
+  std::vector<std::int32_t> pos(plan->op_order.size());
+  for (std::size_t k = 0; k < plan->op_order.size(); ++k) {
+    pos[static_cast<std::size_t>(plan->op_order[k])] =
+        static_cast<std::int32_t>(k);
+  }
+  for (std::int32_t r = 0; r < plan->region_count(); ++r) {
+    const Region& region = plan->regions[static_cast<std::size_t>(r)];
+    for (std::int32_t k = region.ops_begin; k < region.ops_end; ++k) {
+      EXPECT_EQ(plan->op_region[static_cast<std::size_t>(
+                    plan->op_order[static_cast<std::size_t>(k)])],
+                r);
+    }
+  }
 
   std::map<std::int32_t, std::int32_t> producer;  // wire -> op
   for (std::int32_t t = 0; t < g.op_count(); ++t) {
     producer[g.out_wire[static_cast<std::size_t>(t)]] = t;
   }
   std::set<std::int32_t> external_or_seq;  // wires that must be diffed
+  std::set<std::int32_t> in_region_consumed, crossing;  // producer ops
   for (std::int32_t t = 0; t < g.op_count(); ++t) {
     const std::int32_t rt = plan->op_region[static_cast<std::size_t>(t)];
     for (std::int32_t i = g.in_begin[static_cast<std::size_t>(t)];
@@ -99,28 +131,25 @@ TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
       const std::int32_t p = it->second;
       const std::int32_t rp = plan->op_region[static_cast<std::size_t>(p)];
       if (rp == rt) {
-        // Intra-region edge: the producer must execute earlier in the
-        // same straight-line block.
-        const Region& region = plan->regions[static_cast<std::size_t>(rp)];
-        std::int32_t pos_p = -1, pos_t = -1;
-        for (std::int32_t k = region.ops_begin; k < region.ops_end; ++k) {
-          if (plan->op_order[static_cast<std::size_t>(k)] == p) pos_p = k;
-          if (plan->op_order[static_cast<std::size_t>(k)] == t) pos_t = k;
-        }
-        EXPECT_GE(pos_p, region.ops_begin);
-        EXPECT_LT(pos_p, pos_t) << "producer after consumer in region " << rp;
+        // Intra-region edge: the producer executes earlier in the same
+        // straight-line block.
+        EXPECT_LT(pos[static_cast<std::size_t>(p)],
+                  pos[static_cast<std::size_t>(t)])
+            << "producer after consumer in region " << rp;
+        in_region_consumed.insert(p);
         continue;
       }
-      // (2) inter-region edge: producer is its region's tail op.
-      const Region& pregion = plan->regions[static_cast<std::size_t>(rp)];
-      EXPECT_EQ(plan->op_order[static_cast<std::size_t>(pregion.ops_end - 1)],
-                p)
-          << "non-tail wire " << w << " crosses region boundary";
+      crossing.insert(p);
       // (3) levels strictly increase along the edge.
-      EXPECT_LT(pregion.level,
+      EXPECT_LT(plan->regions[static_cast<std::size_t>(rp)].level,
                 plan->regions[static_cast<std::size_t>(rt)].level);
       external_or_seq.insert(w);
     }
+  }
+  // (2) no op both feeds its own region and crosses to another one.
+  for (const std::int32_t p : crossing) {
+    EXPECT_EQ(in_region_consumed.count(p), 0u)
+        << "op " << p << " has in-region consumers yet crosses a boundary";
   }
   for (std::int32_t t = 0; t < g.op_count(); ++t) {
     const std::int32_t w = g.out_wire[static_cast<std::size_t>(t)];
@@ -133,6 +162,126 @@ TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
   const std::set<std::int32_t> diffed(plan->out_wires.begin(),
                                       plan->out_wires.end());
   EXPECT_EQ(diffed, external_or_seq);
+}
+
+TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
+  expect_region_invariants(plan_fixture());
+  expect_region_invariants(trt_core_fixture());
+  expect_region_invariants(conv_core_fixture());
+}
+
+/// Tape op index per design wire (-1: no op drives it).
+std::vector<std::int32_t> op_of_wire(const Design& d, const RegionGraph& g) {
+  std::vector<std::int32_t> op(static_cast<std::size_t>(d.wire_count()), -1);
+  for (std::int32_t t = 0; t < g.op_count(); ++t) {
+    op[static_cast<std::size_t>(g.out_wire[static_cast<std::size_t>(t)])] = t;
+  }
+  return op;
+}
+
+// Sibling groups: the 256 per-pattern {bit select, AND valid} gates all
+// read exactly {LUT row, valid_d1}, so they are always dirtied together
+// and execute as one block.
+TEST(Region, TrtLutRowGatesFormOneRegion) {
+  const Design d = trt_core_fixture();
+  Simulator sim(d, SimOptions{.mode = EvalMode::kThreaded});
+  const RegionGraph g = sim.region_graph();
+  const RegionPlan* plan = sim.region_plan();
+  ASSERT_NE(plan, nullptr);
+  const std::vector<std::int32_t> op = op_of_wire(d, g);
+  const auto& comps = d.components();
+  Wire row{};
+  for (const Component& c : comps) {
+    if (c.kind == CompKind::kRamRead) row = c.out;  // the LUT ROM port
+  }
+  ASSERT_TRUE(row.valid());
+  std::vector<std::int32_t> selects;  // slice of the row -> AND gate
+  std::set<std::int32_t> gate_wires;
+  for (const Component& c : comps) {
+    if (c.kind == CompKind::kSlice && c.in[0].id == row.id) {
+      selects.push_back(c.out.id);
+    }
+  }
+  for (const Component& c : comps) {
+    if (c.kind != CompKind::kAnd) continue;
+    for (const std::int32_t s : selects) {
+      if (c.in[1].id == s) gate_wires.insert(c.out.id);
+    }
+  }
+  ASSERT_EQ(selects.size(), 256u);
+  ASSERT_EQ(gate_wires.size(), 256u);
+  std::set<std::int32_t> regions;
+  for (const std::int32_t w : selects) {
+    ASSERT_GE(op[static_cast<std::size_t>(w)], 0);
+    regions.insert(plan->op_region[static_cast<std::size_t>(
+        op[static_cast<std::size_t>(w)])]);
+  }
+  for (const std::int32_t w : gate_wires) {
+    ASSERT_GE(op[static_cast<std::size_t>(w)], 0);
+    regions.insert(plan->op_region[static_cast<std::size_t>(
+        op[static_cast<std::size_t>(w)])]);
+  }
+  EXPECT_EQ(regions.size(), 1u);
+}
+
+// Cones: HostRegFile's read-back mux chain (one mux per mapped address)
+// packs into nearly full regions instead of one region per mux.
+TEST(Region, TrtReadMuxChainPacksIntoFullRegions) {
+  const Design d = trt_core_fixture();
+  const SimOptions so{.mode = EvalMode::kThreaded};
+  Simulator sim(d, so);
+  const RegionGraph g = sim.region_graph();
+  const RegionPlan* plan = sim.region_plan();
+  ASSERT_NE(plan, nullptr);
+  const std::vector<std::int32_t> op = op_of_wire(d, g);
+  const auto& comps = d.components();
+  std::vector<std::int32_t> producer(static_cast<std::size_t>(d.wire_count()),
+                                     -1);
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    if (comps[i].out.valid()) {
+      producer[static_cast<std::size_t>(comps[i].out.id)] =
+          static_cast<std::int32_t>(i);
+    }
+  }
+  // Walk host_rdata's mux chain through the else inputs.
+  std::vector<std::int32_t> chain;  // tape ops of the chain's muxes
+  for (std::int32_t c = producer[static_cast<std::size_t>(
+           d.port("host_rdata").id)];
+       c >= 0 && comps[static_cast<std::size_t>(c)].kind == CompKind::kMux;
+       c = producer[static_cast<std::size_t>(
+           comps[static_cast<std::size_t>(c)].in[2].id)]) {
+    const std::int32_t t =
+        op[static_cast<std::size_t>(comps[static_cast<std::size_t>(c)].out.id)];
+    if (t >= 0) chain.push_back(t);
+  }
+  ASSERT_GT(chain.size(), 256u);
+  // The chain's ops: each mux plus the select / data operand ops only
+  // it consumes (CSE-shared selects such as write strobes excluded).
+  std::vector<int> consumers(static_cast<std::size_t>(d.wire_count()), 0);
+  for (const std::int32_t w : g.in_wires) {
+    ++consumers[static_cast<std::size_t>(w)];
+  }
+  const std::set<std::int32_t> muxes(chain.begin(), chain.end());
+  std::size_t chain_ops = chain.size();
+  for (const std::int32_t t : chain) {
+    for (std::int32_t i = g.in_begin[static_cast<std::size_t>(t)];
+         i < g.in_begin[static_cast<std::size_t>(t) + 1]; ++i) {
+      const std::int32_t w = g.in_wires[static_cast<std::size_t>(i)];
+      const std::int32_t p = op[static_cast<std::size_t>(w)];
+      if (p >= 0 && muxes.count(p) == 0 &&
+          consumers[static_cast<std::size_t>(w)] == 1) {
+        ++chain_ops;
+      }
+    }
+  }
+  std::set<std::int32_t> regions;
+  for (const std::int32_t t : chain) {
+    regions.insert(plan->op_region[static_cast<std::size_t>(t)]);
+  }
+  const std::size_t cap =
+      static_cast<std::size_t>(so.region.max_region_ops);
+  EXPECT_LE(regions.size(), (chain_ops + cap - 1) / cap + 1)
+      << chain.size() << " muxes, " << chain_ops << " chain ops";
 }
 
 TEST(Region, MaxRegionOpsCapsChains) {
@@ -341,7 +490,7 @@ TEST(Verify, CheckBackendsPinsExplicitSides) {
   EXPECT_TRUE(rep) << rep.mismatch;
 }
 
-/// A combinational chain long enough to clear the kAuto threshold.
+/// A long combinational chain: a tape of 2 * chain_length ops.
 Design wide_fixture(int chain_length) {
   Design d("wide");
   const Wire a = d.input("a", 16);
@@ -353,13 +502,22 @@ Design wide_fixture(int chain_length) {
   return d;
 }
 
-TEST(Auto, SmallTapeResolvesToEventDriven) {
-  // plan_fixture compiles to a few dozen ops — far below the threshold,
-  // where the event-driven engine wins (BENCH_simspeed conv workload).
-  const Design d = plan_fixture();
-  Simulator sim(d, SimOptions{.mode = EvalMode::kAuto});
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kEventDriven);
-  EXPECT_EQ(sim.region_plan(), nullptr);  // no threaded engine was built
+TEST(Auto, EveryTapeResolvesToThreaded) {
+  // Fanout-free-cone regions make the threaded engine the fastest on
+  // small tapes too, so kAuto picks it whatever the tape size: a
+  // one-op tape, the plan fixture and the 46-op conv core alike.
+  const Design tiny = [] {
+    Design d("tiny");
+    d.output("y", d.bnot(d.input("x", 8)));
+    return d;
+  }();
+  const Design fixture = plan_fixture();
+  const Design conv = conv_core_fixture();
+  for (const Design* d : {&tiny, &fixture, &conv}) {
+    Simulator sim(*d, SimOptions{.mode = EvalMode::kAuto});
+    EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded) << d->name();
+    EXPECT_NE(sim.region_plan(), nullptr) << d->name();
+  }
 }
 
 TEST(Auto, LargeTapeResolvesToThreaded) {
@@ -367,15 +525,6 @@ TEST(Auto, LargeTapeResolvesToThreaded) {
   Simulator sim(d, SimOptions{.mode = EvalMode::kAuto});
   EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);
   EXPECT_NE(sim.region_plan(), nullptr);
-}
-
-TEST(Auto, ThresholdIsTunable) {
-  const Design d = plan_fixture();
-  SimOptions so;
-  so.mode = EvalMode::kAuto;
-  so.auto_threaded_min_ops = 1;  // everything is "large"
-  Simulator sim(d, so);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);
 }
 
 TEST(Auto, SetEvalModeReResolves) {
