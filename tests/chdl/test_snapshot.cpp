@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -250,6 +251,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzz,
 // --- FpgaDevice round trips ----------------------------------------------
 
 namespace atlantis::hw {
+
+// Prints a family parameter by name ("ORCA_3T125") rather than by address,
+// so the discovered case names are the same in every run.
+void PrintTo(const FpgaFamily* family, std::ostream* os) {
+  for (const char c : family->name) *os << (c == ' ' ? '_' : c);
+}
+
 namespace {
 
 const chdl::Design& dev_design() {
