@@ -30,7 +30,7 @@
 //     tracked by diffing region outputs only;
 //   * the region DAG is acyclic and region levels (longest inter-region
 //     path) strictly increase along every edge, so a level-bucketed
-//     dirty worklist drains in one pass, exactly like the per-op tape.
+//     dirty worklist drains in one pass.
 //
 // Interior wires may still feed sequential elements or be observed by
 // peeks/VCD; wires with sequential consumers are listed as region

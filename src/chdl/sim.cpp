@@ -41,10 +41,19 @@ void copy_bits(std::uint64_t* dst, int dst_lo, const std::uint64_t* src,
   for (int i = 0; i < n; ++i) set_bit(dst, dst_lo + i, get_bit(src, src_lo + i));
 }
 
+/// The one place legacy policy names resolve: kAuto and kEventDriven
+/// both mean the threaded engine.
+EvalMode resolve(EvalMode mode) {
+  return mode == EvalMode::kFullSweep ? EvalMode::kFullSweep
+                                      : EvalMode::kThreaded;
+}
+
 }  // namespace
 
 Simulator::Simulator(const Design& design, const SimOptions& options)
-    : design_(design), mode_(options.mode), region_opts_(options.region) {
+    : design_(design),
+      mode_(resolve(options.mode)),
+      region_opts_(options.region) {
   design.check_complete();
   if (options.optimize) opt_.emplace(optimize(design, options.opt));
   // Allocate one flat slot per wire. A wire the optimizer forwarded
@@ -53,7 +62,6 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
   // dumps then observe optimized-away wires with zero extra machinery.
   slots_.resize(static_cast<std::size_t>(design.wire_count()));
   std::int32_t offset = 0;
-  std::int32_t max_words = 1;
   for (std::int32_t id = 0; id < design.wire_count(); ++id) {
     auto& s = slots_[static_cast<std::size_t>(id)];
     if (opt_) {
@@ -67,12 +75,10 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
     s.offset = offset;
     s.width = width;
     s.words = words_for(width);
-    max_words = std::max(max_words, s.words);
     offset += s.words;
   }
   values_.assign(static_cast<std::size_t>(offset), 0);
   stage_.assign(static_cast<std::size_t>(offset), 0);
-  scratch_.assign(static_cast<std::size_t>(max_words), 0);
 
   is_input_.assign(slots_.size(), 0);
   for (const auto& [name, w] : design.inputs()) {
@@ -121,7 +127,6 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       wire_lazy_[static_cast<std::size_t>(id)] = 1;
     }
   }
-  if (mode_ == EvalMode::kAuto) mode_ = EvalMode::kThreaded;
   ensure_backend();
   reset();
 }
@@ -129,11 +134,9 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
 Simulator::~Simulator() = default;
 
 void Simulator::ensure_backend() {
-  // Each engine's structures are built on first selection only, so a
-  // simulator pays for the engine it runs, not for all of them.
-  if (mode_ != EvalMode::kThreaded) {
-    ensure_worklist();
-  } else if (!threaded_) {
+  // The threaded backend is built on first selection only, so a
+  // full-sweep simulator never pays for its region plan.
+  if (mode_ == EvalMode::kThreaded && !threaded_) {
     threaded_ = std::make_unique<ThreadedBackend>(*this, region_opts_);
   }
 }
@@ -206,9 +209,9 @@ void Simulator::compile_tape() {
   // Effective inputs per tape op, kept as a CSR: the component's inputs
   // resolved through the optimizer's forwarding map, or the fused
   // operands when the peephole pass rewrote the op. Used for levels,
-  // word offsets, the event-driven fanout table and the threaded
-  // backend's region compiler (Simulator::region_graph), so dirtiness
-  // propagates along the optimized graph.
+  // word offsets and the threaded backend's region compiler
+  // (Simulator::region_graph), so dirtiness propagates along the
+  // optimized graph.
   tape_in_begin_.assign(1, 0);
   tape_in_wires_.clear();
   std::vector<Wire> ins;
@@ -222,7 +225,6 @@ void Simulator::compile_tape() {
     op.comp = i;
     op.out_wire = c.out.id;
     op.out_off = out.offset;
-    op.out_words = out.words;
     op.out_mask = width_mask(out.width);
 
     const FusedComp* fc = nullptr;
@@ -240,12 +242,13 @@ void Simulator::compile_tape() {
         ins.push_back(opt_ ? opt_->rep(w) : w);
       }
     }
+    std::int32_t level = 0;
     for (const Wire w : ins) {
       const std::int32_t lw = level_of_wire[static_cast<std::size_t>(w.id)];
-      op.level = std::max(op.level, lw + 1);
+      level = std::max(level, lw + 1);
     }
-    level_of_wire[static_cast<std::size_t>(c.out.id)] = op.level;
-    max_level = std::max(max_level, op.level);
+    level_of_wire[static_cast<std::size_t>(c.out.id)] = level;
+    max_level = std::max(max_level, level);
 
     // Single-word fast path: output and every input fit one word and the
     // operand layout maps onto the fixed in0/in1/in2 offsets.
@@ -321,69 +324,21 @@ void Simulator::compile_tape() {
   comb_levels_ = max_level + 1;
 }
 
-void Simulator::ensure_worklist() {
-  if (!fan_begin_.empty()) return;
-  level_queue_.assign(static_cast<std::size_t>(comb_levels_), {});
-  queued_.assign(tape_.size(), 0);
-  // Per-wire fanout CSR: wire id -> tape ops that consume it.
-  fan_begin_.assign(slots_.size() + 1, 0);
-  for (const std::int32_t w : tape_in_wires_) {
-    ++fan_begin_[static_cast<std::size_t>(w) + 1];
-  }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    fan_begin_[i + 1] += fan_begin_[i];
-  }
-  fan_ops_.assign(static_cast<std::size_t>(fan_begin_.back()), 0);
-  std::vector<std::int32_t> cursor(fan_begin_.begin(), fan_begin_.end() - 1);
-  for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size()); ++t) {
-    for (std::int32_t i = tape_in_begin_[static_cast<std::size_t>(t)];
-         i < tape_in_begin_[static_cast<std::size_t>(t) + 1]; ++i) {
-      const std::int32_t w = tape_in_wires_[static_cast<std::size_t>(i)];
-      fan_ops_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(w)]++)] = t;
-    }
-  }
-}
-
-void Simulator::mark_wire_dirty(std::int32_t wire_id) {
-  const std::int32_t begin = fan_begin_[static_cast<std::size_t>(wire_id)];
-  const std::int32_t end = fan_begin_[static_cast<std::size_t>(wire_id) + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    const std::int32_t t = fan_ops_[static_cast<std::size_t>(i)];
-    if (!queued_[static_cast<std::size_t>(t)]) {
-      queued_[static_cast<std::size_t>(t)] = 1;
-      level_queue_[static_cast<std::size_t>(
-          tape_[static_cast<std::size_t>(t)].level)].push_back(t);
-      ++dirty_count_;
-    }
-  }
-}
-
 void Simulator::mark_all_dirty() {
-  if (!fan_begin_.empty()) {
-    for (auto& q : level_queue_) q.clear();
-    std::fill(queued_.begin(), queued_.end(), 1);
-    for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size());
-         ++t) {
-      level_queue_[static_cast<std::size_t>(
-          tape_[static_cast<std::size_t>(t)].level)].push_back(t);
-    }
-    dirty_count_ = static_cast<std::int64_t>(tape_.size());
-  }
   comb_dirty_ = true;
   lazy_stale_ = true;
   if (threaded_) threaded_->mark_all();
 }
 
 void Simulator::set_eval_mode(EvalMode mode) {
-  if (mode == EvalMode::kAuto) mode = EvalMode::kThreaded;
+  mode = resolve(mode);
   if (mode == mode_) return;
   mode_ = mode;
   ensure_backend();
   // Everything is re-evaluated on the next peek/step so stale values
-  // cannot leak across the policy switch: marks only land on the active
-  // backend's worklists while a mode runs, so the rebuild here is what
-  // makes a mid-run switch sound.
+  // cannot leak across the policy switch: the threaded worklists see no
+  // marks while the full sweep runs, so the rebuild here is what makes a
+  // mid-run switch sound.
   mark_all_dirty();
 }
 
@@ -465,7 +420,7 @@ void Simulator::load_state(sim::SnapshotReader& r) {
   activity_.edges = r.get_u64();
   // Re-derive everything else: with all ops marked dirty, the next
   // evaluation recomputes every combinational value from the restored
-  // wires — a pure function of them — so all three backends converge to
+  // wires — a pure function of them — so both backends converge to
   // the same fixed point the saved simulator held.
   mark_all_dirty();
 }
@@ -496,11 +451,7 @@ void Simulator::poke(Wire input, const BitVec& value) {
     return;  // unchanged input: nothing downstream can change
   }
   std::copy(value.words().begin(), value.words().end(), dst);
-  if (mode_ == EvalMode::kThreaded) {
-    threaded_->mark_wire(input.id);
-  } else {
-    mark_wire_dirty(input.id);
-  }
+  if (mode_ == EvalMode::kThreaded) threaded_->mark_wire(input.id);
   comb_dirty_ = true;
   lazy_stale_ = true;
 }
@@ -540,165 +491,18 @@ std::uint64_t Simulator::peek_u64(const std::string& port) {
 void Simulator::eval_comb() {
   if (mode_ == EvalMode::kThreaded) {
     threaded_->eval();
-    comb_dirty_ = false;
     return;
   }
-  if (mode_ == EvalMode::kFullSweep) {
-    if (!comb_dirty_) return;
-    const auto& comps = design_.components();
-    for (const std::int32_t i : comb_order_) {
-      const Component& c = comps[static_cast<std::size_t>(i)];
-      eval_comp(c, values_.data() +
-                       slots_[static_cast<std::size_t>(c.out.id)].offset);
-    }
-    activity_.comp_evals += comb_order_.size();
-    comb_dirty_ = false;
-    lazy_stale_ = false;  // the sweep covers DCE'd components too
-    // The worklist may still hold entries from pokes/commits; they are
-    // all up to date now.
-    for (auto& q : level_queue_) q.clear();
-    std::fill(queued_.begin(), queued_.end(), 0);
-    dirty_count_ = 0;
-    return;
+  if (!comb_dirty_) return;
+  const auto& comps = design_.components();
+  for (const std::int32_t i : comb_order_) {
+    const Component& c = comps[static_cast<std::size_t>(i)];
+    eval_comp(c, values_.data() +
+                     slots_[static_cast<std::size_t>(c.out.id)].offset);
   }
-  if (dirty_count_ == 0) return;
-  for (auto& q : level_queue_) {
-    // Dependents always live at strictly higher levels, so this queue
-    // cannot grow while it is being drained.
-    for (const std::int32_t t : q) {
-      queued_[static_cast<std::size_t>(t)] = 0;
-      const Op& op = tape_[static_cast<std::size_t>(t)];
-      if (eval_op(op)) {
-        ++activity_.comp_changes;
-        mark_wire_dirty(op.out_wire);
-      }
-    }
-    q.clear();
-  }
-  dirty_count_ = 0;
+  activity_.comp_evals += comb_order_.size();
   comb_dirty_ = false;
-}
-
-bool Simulator::eval_op(const Op& op) {
-  ++activity_.comp_evals;
-  if (op.fused != FusedOp::kNone) {
-    // Peephole-fused single-word opcodes (see chdl/optimize.hpp).
-    const std::uint64_t* v = values_.data();
-    std::uint64_t r = 0;
-    switch (op.fused) {
-      case FusedOp::kAndNot:
-        r = v[op.in0] & ~v[op.in1] & op.out_mask;
-        break;
-      case FusedOp::kOrNot:
-        r = (v[op.in0] | ~v[op.in1]) & op.out_mask;
-        break;
-      case FusedOp::kEqImm:
-        r = v[op.in0] == op.imm ? 1 : 0;
-        break;
-      case FusedOp::kNeImm:
-        r = v[op.in0] != op.imm ? 1 : 0;
-        break;
-      case FusedOp::kUltImm:
-        r = v[op.in0] < op.imm ? 1 : 0;
-        break;
-      case FusedOp::kImmUlt:
-        r = op.imm < v[op.in0] ? 1 : 0;
-        break;
-      case FusedOp::kAddImm:
-        r = (v[op.in0] + op.imm) & op.out_mask;
-        break;
-      case FusedOp::kSubImm:
-        r = (v[op.in0] - op.imm) & op.out_mask;
-        break;
-      case FusedOp::kAndImm:
-        r = v[op.in0] & op.imm;
-        break;
-      case FusedOp::kOrImm:
-        r = v[op.in0] | op.imm;
-        break;
-      case FusedOp::kXorImm:
-        r = v[op.in0] ^ op.imm;
-        break;
-      case FusedOp::kSliceImm:
-        r = (v[op.in0] >> op.imm) & op.out_mask;
-        break;
-      case FusedOp::kNone:
-        break;
-    }
-    std::uint64_t& out = values_[static_cast<std::size_t>(op.out_off)];
-    if (out == r) return false;
-    out = r;
-    return true;
-  }
-  if (op.single) {
-    const std::uint64_t* v = values_.data();
-    std::uint64_t r = 0;
-    switch (op.kind) {
-      case CompKind::kNot:
-        r = ~v[op.in0] & op.out_mask;
-        break;
-      case CompKind::kAnd:
-        r = v[op.in0] & v[op.in1];
-        break;
-      case CompKind::kOr:
-        r = v[op.in0] | v[op.in1];
-        break;
-      case CompKind::kXor:
-        r = v[op.in0] ^ v[op.in1];
-        break;
-      case CompKind::kMux:
-        r = (v[op.in0] & 1) != 0 ? v[op.in1] : v[op.in2];
-        break;
-      case CompKind::kAdd:
-        r = (v[op.in0] + v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kSub:
-        r = (v[op.in0] - v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kEq:
-        r = v[op.in0] == v[op.in1] ? 1 : 0;
-        break;
-      case CompKind::kUlt:
-        r = v[op.in0] < v[op.in1] ? 1 : 0;
-        break;
-      case CompKind::kReduceAnd:
-        r = v[op.in0] == op.in_mask ? 1 : 0;
-        break;
-      case CompKind::kReduceOr:
-        r = v[op.in0] != 0 ? 1 : 0;
-        break;
-      case CompKind::kReduceXor:
-        r = static_cast<std::uint64_t>(std::popcount(v[op.in0]) & 1);
-        break;
-      case CompKind::kSlice:
-        r = (v[op.in0] >> op.a) & op.out_mask;
-        break;
-      case CompKind::kConcat:
-        r = ((v[op.in0] << op.a) | v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kShl:
-        r = (v[op.in0] << op.a) & op.out_mask;
-        break;
-      case CompKind::kShr:
-        r = v[op.in0] >> op.a;
-        break;
-      default:
-        break;
-    }
-    std::uint64_t& out = values_[static_cast<std::size_t>(op.out_off)];
-    if (out == r) return false;
-    out = r;
-    return true;
-  }
-  // General path: evaluate into scratch, commit only on change.
-  const Component& c = design_.components()[static_cast<std::size_t>(op.comp)];
-  eval_comp(c, scratch_.data());
-  std::uint64_t* dst = values_.data() + op.out_off;
-  if (std::equal(scratch_.data(), scratch_.data() + op.out_words, dst)) {
-    return false;
-  }
-  std::copy(scratch_.data(), scratch_.data() + op.out_words, dst);
-  return true;
+  lazy_stale_ = false;  // the sweep covers DCE'd components too
 }
 
 void Simulator::eval_comp(const Component& c, std::uint64_t* dst) {
@@ -871,8 +675,8 @@ void Simulator::step(ClockId clock) {
     threaded_->commit_edge(clock);
   } else {
     commit_edge(clock);
+    comb_dirty_ = true;
   }
-  if (mode_ == EvalMode::kFullSweep) comb_dirty_ = true;
   eval_comb();
   ++cycle_count_[static_cast<std::size_t>(clock.id)];
   ++activity_.edges;
@@ -884,6 +688,9 @@ void Simulator::run(int n) {
 }
 
 void Simulator::commit_edge(ClockId clock) {
+  // The full sweep's edge: every sequential component of the domain
+  // latches, whatever changed, so this path stays independent of the
+  // threaded backend's dirty edge tape.
   const auto& comps = design_.components();
   // Phase 1: compute next values into stage_ (reads see pre-edge state).
   struct PendingWrite {
@@ -965,18 +772,12 @@ void Simulator::commit_edge(ClockId clock) {
     const std::uint64_t* d = wire_ptr(w.src_wire);
     std::copy(d, d + stride, mem);
   }
-  // Phase 3: commit register / read-port outputs. Only wires whose
-  // staged value differs from the pre-edge value dirty their fanout —
-  // quiescent registers (disabled enables, held resets, stable D) cost
-  // nothing downstream.
+  // Phase 3: commit register / read-port outputs. The caller re-sweeps
+  // all combinational logic afterwards.
   for (const std::int32_t id : touched) {
     const WireSlot& s = slots_[static_cast<std::size_t>(id)];
     const std::uint64_t* st = stage_.data() + s.offset;
-    std::uint64_t* dst = values_.data() + s.offset;
-    if (std::equal(st, st + s.words, dst)) continue;
-    std::copy(st, st + s.words, dst);
-    mark_wire_dirty(id);
-    lazy_stale_ = true;
+    std::copy(st, st + s.words, values_.data() + s.offset);
   }
 }
 
@@ -991,7 +792,7 @@ void Simulator::write_ram(int ram, std::int64_t addr, const BitVec& value) {
                 static_cast<std::ptrdiff_t>(addr) *
                     ram_stride_[static_cast<std::size_t>(ram)]);
   // The change is visible through the RAM's synchronous read ports on
-  // their next edge; arm them so the event-driven edge tape re-reads.
+  // their next edge; arm them so the threaded edge tape re-reads.
   if (mode_ == EvalMode::kThreaded) threaded_->note_ram_written(ram);
 }
 

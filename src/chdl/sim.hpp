@@ -8,26 +8,24 @@
 //
 // During elaboration the combinational netlist is compiled, in
 // component-creation order (which is topological), into a flat "op
-// tape" of POD records (opcode, input/output word offsets, width mask,
-// level). A slice that lies inside one 64-bit word of a wider wire
-// compiles to a single-word op on that word. Three evaluation policies
-// run over it:
+// tape" of POD records (opcode, input/output word offsets, width
+// mask). A slice that lies inside one 64-bit word of a wider wire
+// compiles to a single-word op on that word. There are two evaluation
+// policies:
 //
-//  * kEventDriven (default for a bare Simulator): a per-wire fanout
-//    table drives a level-bucketed dirty worklist. Pokes and edge
-//    commits mark only the fanout of wires whose value actually
-//    changed, and a component's change propagates onward only if its
-//    output changed. Quiescent logic costs nothing.
-//  * kThreaded: the op tape is re-compiled into region superops
-//    (fanout-free cones, chdl/region.hpp) executed by a computed-goto
-//    threaded dispatcher, and sequential commits become event-driven
-//    too (see chdl/threaded.hpp). Fastest backend on every tape,
-//    large or small; bit-identical to the other two by construction
-//    and by the differential fuzzers. kAuto resolves to it.
+//  * kThreaded (the default): the op tape is re-compiled into region
+//    superops (fanout-free cones, chdl/region.hpp) executed by a
+//    computed-goto threaded dispatcher (or its portable switch
+//    fallback). Pokes and edge commits mark only the regions and
+//    sequential components whose inputs actually changed, and a region
+//    propagates onward only if one of its outputs changed, so quiescent
+//    logic costs nothing (see chdl/threaded.hpp).
 //  * kFullSweep: the original policy — every combinational component is
 //    re-evaluated in topological order whenever anything might have
-//    changed. Kept as an independent cross-check implementation for
-//    differential testing (see tests/chdl/test_fuzz.cpp).
+//    changed, and every sequential component latches on every edge.
+//    It shares no evaluation code with kThreaded beyond the wide-op
+//    helper, and is kept as the independent oracle for differential
+//    testing (see tests/chdl/test_fuzz.cpp).
 //
 // The application drives the design directly — poke inputs, clock, peek
 // outputs — which is the CHDL workflow: the C++ program that will operate
@@ -52,17 +50,17 @@ class ThreadedBackend;
 
 /// Combinational evaluation policy.
 enum class EvalMode {
-  kEventDriven,  // dirty-worklist over the compiled op tape
+  kEventDriven,  // kept only so the benchmark compiles; means kThreaded
   kThreaded,     // region superops + computed-goto dispatch
   kFullSweep,    // re-evaluate everything (reference cross-check path)
-  kAuto,         // the fastest engine: resolves to kThreaded
+  kAuto,         // kept only so the benchmark compiles; means kThreaded
 };
 
 /// Simulator construction options. The netlist optimizer
 /// (chdl/optimize.hpp) is on by default; `optimize = false` is the
 /// escape hatch that compiles the tape 1:1 from the elaborated design.
 struct SimOptions {
-  EvalMode mode = EvalMode::kEventDriven;
+  EvalMode mode = EvalMode::kThreaded;
   bool optimize = true;
   OptimizeOptions opt{};
   /// Region partitioning knobs for EvalMode::kThreaded.
@@ -85,14 +83,15 @@ class Simulator {
   /// values.
   Simulator(const Design& design, const SimOptions& options);
   explicit Simulator(const Design& design,
-                     EvalMode mode = EvalMode::kEventDriven)
+                     EvalMode mode = EvalMode::kThreaded)
       : Simulator(design, SimOptions{.mode = mode}) {}
   ~Simulator();
 
   const Design& design() const { return design_; }
 
-  /// The resolved evaluation policy — never kAuto: auto resolves to
-  /// kThreaded at construction (or inside set_eval_mode).
+  /// The resolved evaluation policy: kThreaded or kFullSweep, never one
+  /// of the legacy names (they resolve to kThreaded at construction and
+  /// inside set_eval_mode).
   EvalMode eval_mode() const { return mode_; }
   /// Switches the evaluation policy; all combinational state is
   /// re-evaluated on the next peek/step, so results are unaffected.
@@ -147,7 +146,7 @@ class Simulator {
   /// cycle counts and the activity counters — into the caller's open
   /// section. Worklist/backend state is *not* serialized: it is derived,
   /// and load_state re-derives it by marking everything dirty, which
-  /// converges to the identical fixed point on all three eval backends
+  /// converges to the identical fixed point on both eval backends
   /// (evaluation is a pure function of the restored values). load_state
   /// requires a simulator constructed over the same design and throws
   /// util::Error on a shape mismatch.
@@ -185,8 +184,8 @@ class Simulator {
   };
 
   /// One compiled combinational component. `single` marks the ≤64-bit
-  /// fast path: all inputs and the output are one word, so the hot loop
-  /// is a switch over POD fields with no Component/Wire chasing.
+  /// fast path: all inputs and the output are one word, so the threaded
+  /// backend decodes it into one TOp with no Component/Wire chasing.
   struct Op {
     CompKind kind = CompKind::kConst;
     FusedOp fused = FusedOp::kNone;  // != kNone: fused fast-path opcode
@@ -194,13 +193,11 @@ class Simulator {
     std::int32_t comp = -1;      // index into design_.components()
     std::int32_t out_wire = -1;
     std::int32_t out_off = 0;
-    std::int32_t out_words = 0;
     std::int32_t in0 = 0, in1 = 0, in2 = 0;  // input word offsets
     std::int32_t a = 0;          // slice lo / shift amount / concat lo width
     std::uint64_t out_mask = ~std::uint64_t{0};
     std::uint64_t in_mask = ~std::uint64_t{0};  // kReduceAnd input mask
     std::uint64_t imm = 0;                      // fused immediate / shift
-    std::int32_t level = 0;
   };
 
   std::uint64_t* wire_ptr(std::int32_t id) {
@@ -214,15 +211,12 @@ class Simulator {
 
   void eval_comb();
   void eval_comp(const Component& c, std::uint64_t* dst);
-  bool eval_op(const Op& op);
   void refresh_lazy();
   void commit_edge(ClockId clock);
   void collect_components();
   void compile_tape();
-  void mark_wire_dirty(std::int32_t wire_id);
   void mark_all_dirty();
   void ensure_backend();
-  void ensure_worklist();
   void store(Wire w, const BitVec& v);
   BitVec load(Wire w) const;
 
@@ -241,21 +235,11 @@ class Simulator {
   bool comb_dirty_ = true;                 // full-sweep mode only
   EdgeHook edge_hook_;
 
-  // The compiled op tape, shared by the event-driven and threaded
-  // engines.
+  // The compiled op tape, decoded by the threaded backend.
   std::vector<Op> tape_;                   // comb ops, creation order
   std::vector<std::int32_t> tape_in_begin_;  // tape op -> input wires CSR ...
   std::vector<std::int32_t> tape_in_wires_;  // ... (optimizer-resolved ids)
   int comb_levels_ = 0;                    // tape levels (max level + 1)
-  // Event-driven worklist, built only when a non-threaded mode is
-  // selected (ensure_worklist; empty fan_begin_ = not built). The full
-  // sweep shares its commit path, so it uses these too.
-  std::vector<std::int32_t> fan_begin_;    // wire id -> [begin,end) CSR ...
-  std::vector<std::int32_t> fan_ops_;      // ... over dependent tape indices
-  std::vector<std::vector<std::int32_t>> level_queue_;  // dirty worklist
-  std::vector<std::uint8_t> queued_;       // per tape op
-  std::int64_t dirty_count_ = 0;
-  std::vector<std::uint64_t> scratch_;     // general-path output buffer
   std::vector<std::uint8_t> is_input_;     // per wire: design input?
   // DCE'd-but-observable logic: kept off the tape, re-evaluated only
   // when a peek asks for one of its wires (keeps peeks bit-identical).

@@ -69,7 +69,7 @@ NetlistStats analyze(const Design& design) {
   }
   s.lut4_estimate = (s.gate_equivalents - 8 * s.flipflops) / 4;
 
-  // Levelization / fanout summary: what the event-driven simulator's
+  // Levelization / fanout summary: what the simulator's incremental
   // dirty worklist is shaped by. Level of a comb component = 1 + max
   // level of its comb producers; consumers per wire feed mean_fanout.
   std::vector<std::int64_t> level_of_wire(

@@ -24,7 +24,7 @@ struct NetlistStats {
   std::int64_t ram_bits = 0;          // block/external memory bits
   std::int64_t io_pins = 0;           // top-level port bits
   std::int64_t wires = 0;
-  std::int64_t comb_components = 0;   // evaluated per event-driven pass
+  std::int64_t comb_components = 0;   // evaluated per full-sweep pass
   std::int64_t comb_levels = 0;       // levelization depth (critical path)
   double mean_fanout = 0.0;           // avg comb consumers per driven wire
 

@@ -26,8 +26,10 @@ bool threaded_uses_computed_goto() {
 
 // Single-word handler bodies, written once and expanded into both the
 // computed-goto handlers and the switch cases so the two dispatch paths
-// cannot drift. Every body is the exact expression Simulator::eval_op
-// computes for the corresponding opcode; order must match TCode (the
+// cannot drift. Every body is the single-word case of what
+// Simulator::eval_comp computes for the opcode's component kind (or,
+// for fused forms, for the component pair the optimizer fused), which
+// the full-sweep differential fuzz checks; order must match TCode (the
 // label table is static_assert'd against TCode::kCount_).
 #define ATLANTIS_THREADED_OPS(X)                                         \
   X(kNot, ~v[op->in0] & op->mask)                                        \

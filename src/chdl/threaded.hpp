@@ -1,11 +1,12 @@
-// Threaded-code execution backend for the CHDL op tape.
+// Threaded-code execution backend for the CHDL op tape: the
+// simulator's incremental engine (EvalMode::kThreaded, the default).
 //
-// The event-driven engine (chdl/sim.cpp) pays a double switch
-// (op.fused, then op.kind) plus worklist bookkeeping for every single
-// op it touches, and its edge commit sweeps every sequential component
-// whether or not anything changed. This backend removes both costs,
-// QEMU-TCG-style, while keeping the interpreter bit-identical as the
-// differential reference:
+// A per-op interpreter pays a double switch (fused form, then component
+// kind) plus worklist bookkeeping for every op it touches, and a plain
+// edge commit sweeps every sequential component whether or not
+// anything changed. This backend removes both costs, QEMU-TCG-style,
+// while staying bit-identical to the full-sweep reference
+// (EvalMode::kFullSweep), which the differential fuzzers check:
 //
 //  * flat opcode space — the tape is re-decoded once into TOp records
 //    whose single `code` byte covers plain, single-word-fast-path and
@@ -26,10 +27,10 @@
 //    asserted RAM write port re-arms itself; a RAM word change re-arms
 //    the RAM's read ports). A quiescent design commits an edge in O(1).
 //
-// Scheduling stays deterministic: regions drain level-by-level exactly
-// like the per-op worklist, and dirty sequential components commit in
-// component-creation order, preserving the reference's last-write-wins
-// ordering for multi-port RAM writes.
+// Scheduling stays deterministic: regions drain level by level, and
+// dirty sequential components commit in component-creation order,
+// preserving the reference's last-write-wins ordering for multi-port
+// RAM writes.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@ bool threaded_uses_computed_goto();
 enum class TCode : std::uint8_t {
   kEnd = 0,    // region terminator
   kWide,       // multi-word / general op: delegate to Simulator::eval_comp
-  // Single-word CompKind fast paths (semantics of Simulator::eval_op).
+  // Single-word CompKind fast paths (semantics of Simulator::eval_comp).
   kNot,
   kAnd,
   kOr,
@@ -100,7 +101,7 @@ struct TOp {
 /// The compiled backend for one Simulator. Owns the region plan, the
 /// decoded superop blocks, the shadow value copy and the sequential
 /// edge tape; the Simulator forwards poke/eval/step/write_ram events
-/// here when its mode is EvalMode::kThreaded (which kAuto resolves to).
+/// here when its mode is EvalMode::kThreaded.
 /// Construction leaves nothing marked: the Simulator calls mark_all()
 /// right after building the backend.
 class ThreadedBackend {
@@ -156,7 +157,7 @@ class ThreadedBackend {
   // single change check that replaces per-op change propagation.
   std::vector<std::uint64_t> shadow_;
 
-  // Region worklist (mirrors the per-op level_queue_).
+  // Region worklist, bucketed by region level.
   std::vector<std::vector<std::int32_t>> buckets_;  // by region level
   std::vector<std::uint8_t> region_queued_;
   std::int64_t dirty_regions_ = 0;

@@ -87,15 +87,10 @@ std::string wire_name(const Design& d, std::int32_t wire_id) {
 
 namespace {
 
-std::string side_label(const SimOptions& so) {
-  std::string s;
-  switch (so.mode) {
-    case EvalMode::kEventDriven: s = "event"; break;
-    case EvalMode::kThreaded:    s = "threaded"; break;
-    case EvalMode::kFullSweep:   s = "full-sweep"; break;
-    case EvalMode::kAuto:        s = "auto"; break;
-  }
-  return s + (so.optimize ? "+opt" : "");
+std::string side_label(const Simulator& sim) {
+  const bool full = sim.eval_mode() == EvalMode::kFullSweep;
+  return std::string(full ? "full-sweep" : "threaded") +
+         (sim.optimized() ? "+opt" : "");
 }
 
 }  // namespace
@@ -106,13 +101,13 @@ BackendCheckReport check_backends(const Design& d,
   if (sides.empty()) {
     SimOptions threaded;
     threaded.mode = EvalMode::kThreaded;
-    SimOptions event;
-    event.mode = EvalMode::kEventDriven;
-    event.optimize = false;
+    SimOptions threaded_raw;
+    threaded_raw.mode = EvalMode::kThreaded;
+    threaded_raw.optimize = false;
     SimOptions full;
     full.mode = EvalMode::kFullSweep;
     full.optimize = false;
-    sides = {threaded, event, full};
+    sides = {threaded, threaded_raw, full};
   }
   ATLANTIS_CHECK(sides.size() >= 2, "check_backends needs at least 2 sides");
 
@@ -128,8 +123,8 @@ BackendCheckReport check_backends(const Design& d,
                             std::size_t side, const BitVec& ref,
                             const BitVec& got) {
     std::ostringstream os;
-    os << "cycle " << cycle << ", " << what << ": " << side_label(sides[0])
-       << "=0b" << ref.to_binary() << " vs " << side_label(sides[side])
+    os << "cycle " << cycle << ", " << what << ": " << side_label(*sims[0])
+       << "=0b" << ref.to_binary() << " vs " << side_label(*sims[side])
        << "=0b" << got.to_binary();
     report.identical = false;
     report.mismatch = os.str();

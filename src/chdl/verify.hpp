@@ -60,7 +60,7 @@ struct BackendCheckOptions {
   std::uint64_t seed = 0xA11CE;
   /// Simulators to pit against each other; side 0 is the reference.
   /// Empty selects the default three-way check: threaded+optimizer vs
-  /// event-driven vs unoptimized full sweep.
+  /// unoptimized threaded vs unoptimized full sweep.
   std::vector<SimOptions> sides;
 };
 

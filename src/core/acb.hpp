@@ -27,10 +27,6 @@
 #include "sim/timeline.hpp"
 #include "util/units.hpp"
 
-namespace atlantis::util {
-class WorkerPool;
-}
-
 namespace atlantis::core {
 
 /// Role of an FPGA's logical I/O port, fixed by board position.
@@ -118,18 +114,12 @@ class AcbBoard {
   /// likewise "v_out"/"v_in" for the vertical neighbour (1-row, col).
   /// Ports are <= 72 bits (the paper's neighbour-port width) and both
   /// ends must agree on the width. Because the links are registered at
-  /// board level (designs latch h_in/v_in into flip-flops), a per-edge
-  /// exchange preserves cycle accuracy, which is what makes the
-  /// `parallel` mode legal: the four simulators step concurrently on the
-  /// shared worker pool with a barrier at each edge, then link values are
-  /// exchanged before the next edge.
+  /// board level (designs latch h_in/v_in into flip-flops), stepping
+  /// every simulator one edge and then exchanging link values preserves
+  /// cycle accuracy.
   ///
   /// `record_trace` captures every link transfer for cross-checking.
-  /// `pool` selects the worker pool used in parallel mode (benchmarks
-  /// sweep pools of different sizes); nullptr uses the shared pool.
-  AcbMatrixReport step_matrix(int cycles, bool parallel = false,
-                              bool record_trace = false,
-                              util::WorkerPool* pool = nullptr);
+  AcbMatrixReport step_matrix(int cycles, bool record_trace = false);
 
   hw::Plx9080& pci() { return pci_; }
   hw::ClockGenerator& local_clock() { return local_clock_; }

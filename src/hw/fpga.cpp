@@ -93,15 +93,6 @@ int region_diff_count(const std::vector<std::uint64_t>& a,
   return n;
 }
 
-chdl::SimOptions& FpgaDevice::default_sim_options() {
-  static chdl::SimOptions options = [] {
-    chdl::SimOptions o;
-    o.mode = chdl::EvalMode::kAuto;
-    return o;
-  }();
-  return options;
-}
-
 Bitstream Bitstream::from_design(const chdl::Design& design) {
   Bitstream bs;
   bs.name = design.name();
@@ -181,7 +172,7 @@ void FpgaDevice::install(const Bitstream& bs) {
   if (!same_design) {
     sim_.reset();
     if (bs.design != nullptr) {
-      sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+      sim_ = std::make_unique<chdl::Simulator>(*bs.design);
     }
   }
 }
@@ -199,7 +190,7 @@ util::Picoseconds FpgaDevice::configure(const Bitstream& bs) {
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design);
   }
   resident_sigs_ = bs.region_sigs;
   return config_time(family_->config_bits);
@@ -224,7 +215,7 @@ util::Picoseconds FpgaDevice::partial_reconfigure(const Bitstream& bs) {
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design);
   }
   resident_sigs_ = bs.region_sigs;
   return spent;
@@ -371,7 +362,7 @@ util::Picoseconds FpgaDevice::activate(const Bitstream& bs,
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design);
   }
   resident_sigs_ = bs.region_sigs;
   return config_time(static_cast<std::int64_t>(

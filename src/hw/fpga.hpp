@@ -105,27 +105,13 @@ struct ReconfigOutcome {
 
 class FpgaDevice {
  public:
+  /// Simulators built by configure()/partial_reconfigure()/activate()
+  /// use the default chdl::SimOptions: the threaded region-superop
+  /// engine with the netlist optimizer (chdl/sim.hpp). A loaded
+  /// simulator's engine can still be switched live with
+  /// sim()->set_eval_mode().
   FpgaDevice(std::string instance_name, const FpgaFamily& family)
-      : name_(std::move(instance_name)), family_(&family),
-        sim_options_(default_sim_options()) {}
-
-  /// Process-wide default SimOptions for simulators built by
-  /// configure()/partial_reconfigure()/activate(). Ships with
-  /// EvalMode::kAuto, which resolves to the threaded region-superop
-  /// engine, the fastest on every tape (chdl/sim.hpp), while plain
-  /// `chdl::Simulator` construction elsewhere keeps the event-driven
-  /// default. Mutate the reference (e.g. in a benchmark harness) to
-  /// change the fleet-wide policy; per-device overrides go through
-  /// set_sim_options().
-  static chdl::SimOptions& default_sim_options();
-
-  /// Per-device override; applies to the NEXT (re)configuration — an
-  /// already-loaded simulator keeps its engine until the design is
-  /// loaded again (use sim()->set_eval_mode for a live switch).
-  void set_sim_options(const chdl::SimOptions& options) {
-    sim_options_ = options;
-  }
-  const chdl::SimOptions& sim_options() const { return sim_options_; }
+      : name_(std::move(instance_name)), family_(&family) {}
 
   const std::string& name() const { return name_; }
   const FpgaFamily& family() const { return *family_; }
@@ -255,7 +241,6 @@ class FpgaDevice {
   const FpgaFamily* family_;
   bool configured_ = false;
   std::string design_name_;
-  chdl::SimOptions sim_options_;
   std::unique_ptr<chdl::Simulator> sim_;
   std::vector<std::uint64_t> resident_sigs_;
   bool crc_ok_ = true;

@@ -50,10 +50,9 @@ class WorkerPool;
 namespace atlantis::serve {
 
 /// How far one run() call may go — the single entry point's knobs.
-/// Default-constructed it drains everything, like the old run();
-/// max_dispatches bounds the scheduling steps (batches under kBatched,
-/// slices under the preemptive policies), like the old run_bounded();
-/// stop_when pauses the drain as soon as the predicate turns true
+/// Default-constructed it drains everything; max_dispatches bounds the
+/// scheduling steps (batches under kBatched, slices under the
+/// preemptive policies); stop_when pauses the drain as soon as the predicate turns true
 /// (checked before every scheduling step, on the scheduling thread, so
 /// it cannot perturb determinism); pool sizes the functional evaluation
 /// only — the schedule and the results are bit-identical for any pool.
@@ -145,25 +144,6 @@ class JobService : public sim::Snapshottable {
   /// instead of batched. Returns the run's report.
   const ServiceReport& run(const RunOptions& options = {});
 
-  /// Deprecated: use run({.pool = pool}). Thin forwarder kept so
-  /// existing call sites compile and behave identically; in-tree use
-  /// fails the -Werror=deprecated-declarations CI leg.
-  [[deprecated("use run(const RunOptions&)")]]
-  const ServiceReport& run(util::WorkerPool* pool) {
-    RunOptions options;
-    options.pool = pool;
-    return run(options);
-  }
-  /// Deprecated: use run({.max_dispatches = n, .pool = pool}).
-  [[deprecated("use run(const RunOptions&)")]]
-  const ServiceReport& run_bounded(std::size_t max_dispatches,
-                                   util::WorkerPool* pool = nullptr) {
-    RunOptions options;
-    options.max_dispatches = max_dispatches;
-    options.pool = pool;
-    return run(options);
-  }
-
   // --- checkpoint / restore / migration --------------------------------
   /// Freezes one pending job (queued or preempted mid-compute) into a
   /// portable checkpoint and removes it from this service's scheduling
@@ -220,7 +200,7 @@ class JobService : public sim::Snapshottable {
 
   std::size_t pending() const { return queues_.total(); }
   /// True while any board holds a job mid-compute (preemptive policies
-  /// paused by run_bounded).
+  /// paused by RunOptions::max_dispatches or stop_when).
   bool has_active_jobs() const;
   /// Per-board switcher (cache stats, current task) for inspection.
   const core::TaskSwitcher& switcher(int board_index) const;

@@ -81,22 +81,6 @@ void WorkerPool::parallel_for(int n, const std::function<void(int)>& fn) {
   job_ = nullptr;  // fn's frame is about to die; helpers are idle again
 }
 
-void WorkerPool::parallel_for_chunked(int n,
-                                      const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int workers = std::min(n, size());
-  if (workers <= 1) {
-    parallel_for(n, fn);
-    return;
-  }
-  const int chunk = (n + workers - 1) / workers;
-  parallel_for(workers, [&](int w) {
-    const int lo = w * chunk;
-    const int hi = std::min(n, lo + chunk);
-    for (int i = lo; i < hi; ++i) fn(i);
-  });
-}
-
 void WorkerPool::work(const std::function<void(int)>& fn) {
   for (;;) {
     int i;

@@ -1,21 +1,20 @@
-// Small fixed worker pool for stepping independent simulators in
-// lockstep (per-FPGA cycle simulators on a board, per-board TRT slices).
+// Small fixed worker pool for independent units of work: per-board TRT
+// slices stepped in lockstep (trt/multiboard.hpp) and the JobService's
+// pooled functional evaluation of a batch (serve/jobservice.hpp).
 //
 // parallel_for(n, fn) runs fn(0..n-1) across the workers and the calling
 // thread and returns when every index has completed — the return is the
-// barrier the board-level stepping protocol relies on. The pool is
-// deliberately simple: one job at a time, indices handed out by an
-// atomic cursor, completion signalled through a condition variable, so
-// it is easy to reason about under TSan.
+// barrier the lockstep protocol relies on. The pool is deliberately
+// simple: one job at a time, indices handed out under a mutex,
+// completion signalled through a condition variable, so it is easy to
+// reason about under TSan.
 //
-// Granularity: per-index handout costs one mutex round-trip, which
-// swamps sub-microsecond tasks (the ACB matrix steps four ~100ns event
-// sims per cycle). parallel_for_chunked() hands each worker one
-// contiguous slice instead, and helpers briefly spin for the next job
-// before sleeping on the condition variable, so back-to-back
-// parallel_for calls don't pay a futex wake per cycle. Per-worker
+// Granularity: per-index handout costs one mutex round-trip, so tasks
+// should be well above a microsecond. Helpers briefly spin for the next
+// job before sleeping on the condition variable, so back-to-back
+// parallel_for calls don't pay a futex wake each. Per-worker
 // utilization counters (worker_stats) make the granularity visible in
-// the benches instead of leaving a silent flat-line.
+// the benchmarks instead of leaving a silent flat-line.
 #pragma once
 
 #include <atomic>
@@ -33,7 +32,7 @@ class WorkerPool {
   /// Work done by one worker since the last reset_worker_stats().
   /// Worker 0 is the calling thread; 1..size()-1 are the helpers.
   struct WorkerStats {
-    std::uint64_t tasks = 0;    // indices (or chunks) executed
+    std::uint64_t tasks = 0;    // indices executed
     std::uint64_t busy_ns = 0;  // wall time spent inside the functor
   };
 
@@ -53,19 +52,12 @@ class WorkerPool {
   /// from inside a task.
   void parallel_for(int n, const std::function<void(int)>& fn);
 
-  /// Same contract, but indices are handed out as at most size()
-  /// contiguous chunks — one mutex round-trip per worker instead of per
-  /// index. Use for many small uniform tasks; results are identical to
-  /// parallel_for whenever fn(i) calls are independent (which the
-  /// barrier contract already requires).
-  void parallel_for_chunked(int n, const std::function<void(int)>& fn);
-
   /// Per-worker counters since the last reset (snapshot; call while no
   /// parallel_for is in flight for exact totals). Index 0 = caller.
   std::vector<WorkerStats> worker_stats() const;
   void reset_worker_stats();
 
-  /// Process-wide pool shared by board stepping and multiboard runs.
+  /// Process-wide pool shared by multiboard runs and the job service.
   static WorkerPool& shared();
 
  private:

@@ -191,8 +191,8 @@ class NetlistFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(NetlistFuzz, SimulatorMatchesInterpreter) {
   util::Rng rng(GetParam());
   const Design d = random_design(rng, 120);
-  Simulator sim(d);
-  Simulator threaded(d, EvalMode::kThreaded);
+  Simulator full(d, EvalMode::kFullSweep);
+  Simulator threaded(d);
   for (int vector = 0; vector < 25; ++vector) {
     std::map<std::string, BitVec> inputs;
     for (const auto& [name, w] : d.inputs()) {
@@ -200,14 +200,14 @@ TEST_P(NetlistFuzz, SimulatorMatchesInterpreter) {
       for (auto& word : v.words()) word = rng.next_u64();
       v = v & BitVec::ones(w.width);
       inputs[name] = v;
-      sim.poke(w, v);
+      full.poke(w, v);
       threaded.poke(w, v);
     }
     Interpreter ref(d, inputs);
     for (const auto& [name, w] : d.outputs()) {
-      EXPECT_EQ(sim.peek(w), ref.eval(w))
-          << "output '" << name << "', vector " << vector << ", seed "
-          << GetParam();
+      EXPECT_EQ(full.peek(w), ref.eval(w))
+          << "full-sweep output '" << name << "', vector " << vector
+          << ", seed " << GetParam();
       EXPECT_EQ(threaded.peek(w), ref.eval(w))
           << "threaded output '" << name << "', vector " << vector
           << ", seed " << GetParam();
@@ -220,12 +220,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetlistFuzz,
                                            10u, 11u, 12u));
 
 // ---------------------------------------------------------------------------
-// Differential mode fuzz: the event-driven worklist evaluator against the
-// full-sweep reference path, over SEQUENTIAL designs (registers with
-// enable/reset, feedback counters, RAM read/write ports) clocked for many
-// cycles with random pokes. The two policies share storage layout but no
-// evaluation code, so bit-identical results across every wire, RAM word
-// and VCD byte is strong evidence the incremental dirty tracking is sound.
+// Differential mode fuzz: the threaded engine's incremental evaluation
+// against the full-sweep reference path, over SEQUENTIAL designs
+// (registers with enable/reset, feedback counters, RAM read/write ports)
+// clocked for many cycles with random pokes. The two policies share the
+// storage layout and the multi-word evaluation helper but no scheduling,
+// single-word evaluation or edge-commit code, so bit-identical results
+// across every wire, RAM word and VCD byte is strong evidence the
+// incremental dirty tracking is sound.
 
 BitVec random_bits(util::Rng& rng, int width) {
   BitVec v(width);
@@ -393,25 +395,19 @@ Design wide_row_design(util::Rng& rng) {
   return d;
 }
 
-/// Five evaluation policies against one reference, over 50 clocked
-/// cycles of random pokes: every wire, RAM word and VCD byte must agree.
+/// Both threaded policies against the full-sweep oracle, over 50
+/// clocked cycles of random pokes: every wire, RAM word and VCD byte
+/// must agree.
 void expect_engines_match(const Design& d, util::Rng& rng,
                           const std::string& tag) {
-  // Five evaluation policies against one reference: the unoptimized
-  // full sweep. "event" exercises the dirty worklist alone; "opted"
+  // The reference is the unoptimized full sweep, which shares no
+  // scheduling code with the threaded engine. "thr_raw" covers the
+  // region superop compiler and the dirty edge tape alone; "thr_opt"
   // additionally runs the fold/dce/cse/fuse netlist optimizer, so this
-  // test is the bit-exactness proof for every optimizer rewrite; the
-  // two threaded sides cover the region superop compiler and the
-  // event-driven edge tape, with and without the optimizer underneath.
+  // test is also the bit-exactness proof for every optimizer rewrite.
   SimOptions ref_opts;
   ref_opts.mode = EvalMode::kFullSweep;
   ref_opts.optimize = false;
-  SimOptions raw_opts;
-  raw_opts.mode = EvalMode::kEventDriven;
-  raw_opts.optimize = false;
-  SimOptions opt_opts;
-  opt_opts.mode = EvalMode::kEventDriven;
-  opt_opts.optimize = true;
   SimOptions thr_raw_opts;
   thr_raw_opts.mode = EvalMode::kThreaded;
   thr_raw_opts.optimize = false;
@@ -419,24 +415,16 @@ void expect_engines_match(const Design& d, util::Rng& rng,
   thr_opt_opts.mode = EvalMode::kThreaded;
   thr_opt_opts.optimize = true;
   Simulator full(d, ref_opts);
-  Simulator event(d, raw_opts);
-  Simulator opted(d, opt_opts);
   Simulator thr_raw(d, thr_raw_opts);
   Simulator thr_opt(d, thr_opt_opts);
   const std::string full_vcd =
       ::testing::TempDir() + "/fuzz_full_" + tag + ".vcd";
-  const std::string event_vcd =
-      ::testing::TempDir() + "/fuzz_event_" + tag + ".vcd";
-  const std::string opted_vcd =
-      ::testing::TempDir() + "/fuzz_opted_" + tag + ".vcd";
   const std::string thr_raw_vcd =
       ::testing::TempDir() + "/fuzz_thr_raw_" + tag + ".vcd";
   const std::string thr_opt_vcd =
       ::testing::TempDir() + "/fuzz_thr_opt_" + tag + ".vcd";
   {
     VcdWriter wf(full, full_vcd);
-    VcdWriter we(event, event_vcd);
-    VcdWriter wo(opted, opted_vcd);
     VcdWriter wtr(thr_raw, thr_raw_vcd);
     VcdWriter wto(thr_opt, thr_opt_vcd);
     for (int cycle = 0; cycle < 50; ++cycle) {
@@ -446,8 +434,6 @@ void expect_engines_match(const Design& d, util::Rng& rng,
         if (rng.next_below(2) == 0) continue;
         const BitVec v = random_bits(rng, w.width);
         full.poke(w, v);
-        event.poke(w, v);
-        opted.poke(w, v);
         thr_raw.poke(w, v);
         thr_opt.poke(w, v);
       }
@@ -455,12 +441,6 @@ void expect_engines_match(const Design& d, util::Rng& rng,
       // the optimizer aliased, folded or dead-code-eliminated.
       for (std::int32_t id = 0; id < d.wire_count(); ++id) {
         const Wire w{id, d.wire_width(id)};
-        ASSERT_EQ(full.peek(w), event.peek(w))
-            << "wire " << id << ", cycle " << cycle << ", seed "
-            << tag;
-        ASSERT_EQ(full.peek(w), opted.peek(w))
-            << "optimized wire " << id << ", cycle " << cycle << ", seed "
-            << tag;
         ASSERT_EQ(full.peek(w), thr_raw.peek(w))
             << "threaded wire " << id << ", cycle " << cycle << ", seed "
             << tag;
@@ -469,8 +449,6 @@ void expect_engines_match(const Design& d, util::Rng& rng,
             << ", seed " << tag;
       }
       full.step();
-      event.step();
-      opted.step();
       thr_raw.step();
       thr_opt.step();
     }
@@ -479,10 +457,6 @@ void expect_engines_match(const Design& d, util::Rng& rng,
   for (int m = 0; m < static_cast<int>(d.rams().size()); ++m) {
     for (std::int64_t a = 0; a < d.rams()[static_cast<std::size_t>(m)].words;
          ++a) {
-      EXPECT_EQ(full.read_ram(m, a), event.read_ram(m, a))
-          << "RAM " << m << " word " << a << ", seed " << tag;
-      EXPECT_EQ(full.read_ram(m, a), opted.read_ram(m, a))
-          << "optimized RAM " << m << " word " << a << ", seed " << tag;
       EXPECT_EQ(full.read_ram(m, a), thr_raw.read_ram(m, a))
           << "threaded RAM " << m << " word " << a << ", seed " << tag;
       EXPECT_EQ(full.read_ram(m, a), thr_opt.read_ram(m, a))
@@ -492,20 +466,18 @@ void expect_engines_match(const Design& d, util::Rng& rng,
   // Identical samples => byte-identical waveforms.
   const std::string full_bytes = slurp(full_vcd);
   ASSERT_FALSE(full_bytes.empty());
-  EXPECT_EQ(full_bytes, slurp(event_vcd)) << "seed " << tag;
-  EXPECT_EQ(full_bytes, slurp(opted_vcd)) << "optimized seed " << tag;
   EXPECT_EQ(full_bytes, slurp(thr_raw_vcd)) << "threaded seed " << tag;
   EXPECT_EQ(full_bytes, slurp(thr_opt_vcd))
       << "threaded+opt seed " << tag;
   std::remove(full_vcd.c_str());
-  std::remove(event_vcd.c_str());
-  std::remove(opted_vcd.c_str());
   std::remove(thr_raw_vcd.c_str());
   std::remove(thr_opt_vcd.c_str());
 }
 
 class SequentialFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The threaded engine is the event-driven one: it re-evaluates only what
+// a poke or an edge changed.
 TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
   util::Rng rng(GetParam() * 7919 + 13);
   expect_engines_match(random_seq_design(rng, 140), rng,
@@ -539,32 +511,32 @@ TEST(SequentialFuzz, QuiescentRegistersCostNoEvaluations) {
   for (int i = 0; i < 50; ++i) x = d.add(x, q);  // 51*q
   d.output("y", x);
 
-  Simulator event(d, EvalMode::kEventDriven);
+  Simulator threaded(d, EvalMode::kThreaded);
   Simulator full(d, EvalMode::kFullSweep);
-  for (Simulator* s : {&event, &full}) {
+  for (Simulator* s : {&threaded, &full}) {
     s->poke("d", 123);
     EXPECT_EQ(s->peek_u64("y"), 51u * 7u);
     s->reset_activity();
   }
-  event.run(1000);
+  threaded.run(1000);
   full.run(1000);
-  // Enable low and D stable: the event-driven core does no comb work.
-  EXPECT_EQ(event.activity().comp_evals, 0u);
+  // Enable low and D stable: the threaded engine does no comb work.
+  EXPECT_EQ(threaded.activity().comp_evals, 0u);
   EXPECT_GT(full.activity().comp_evals, 10000u);
 
   // Reset asserted while the register already holds its init value:
   // still no change, still free.
-  event.poke("rst", 1);
-  event.run(100);
-  EXPECT_EQ(event.activity().comp_evals, 0u);
-  EXPECT_EQ(event.peek_u64("y"), 51u * 7u);
+  threaded.poke("rst", 1);
+  threaded.run(100);
+  EXPECT_EQ(threaded.activity().comp_evals, 0u);
+  EXPECT_EQ(threaded.peek_u64("y"), 51u * 7u);
 
   // Releasing reset and enabling finally moves data through.
-  event.poke("rst", 0);
-  event.poke("en", 1);
-  event.run(1);
-  EXPECT_GT(event.activity().comp_evals, 0u);
-  EXPECT_EQ(event.peek_u64("y"), 51u * 123u);
+  threaded.poke("rst", 0);
+  threaded.poke("en", 1);
+  threaded.run(1);
+  EXPECT_GT(threaded.activity().comp_evals, 0u);
+  EXPECT_EQ(threaded.peek_u64("y"), 51u * 123u);
   full.poke("rst", 0);
   full.poke("en", 1);
   full.run(1);

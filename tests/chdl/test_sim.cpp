@@ -272,8 +272,7 @@ TEST(Sim, InWordSlicesOfWideWiresMatchBitVec) {
     d.output("r" + n, d.slice(held, cuts[k].lo, cuts[k].width));
   }
   util::Rng rng(256);
-  for (const EvalMode mode :
-       {EvalMode::kEventDriven, EvalMode::kThreaded, EvalMode::kFullSweep}) {
+  for (const EvalMode mode : {EvalMode::kThreaded, EvalMode::kFullSweep}) {
     Simulator sim(d, mode);
     BitVec prev(256);
     for (int cycle = 0; cycle < 20; ++cycle) {

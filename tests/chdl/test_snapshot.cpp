@@ -1,6 +1,6 @@
 // Simulator snapshot round-trips: save a live simulation mid-run,
 // restore it into a twin, and demand bit-identical behaviour from then
-// on — across all three evaluation backends (the snapshot carries no
+// on — across both evaluation backends (the snapshot carries no
 // backend state, so a stream saved under one backend must restore
 // under any other) and through the FpgaDevice wrapper for both FPGA
 // families. The randomized cases reuse the fuzz generator idea:
@@ -25,8 +25,7 @@
 namespace atlantis::chdl {
 namespace {
 
-constexpr EvalMode kModes[] = {EvalMode::kEventDriven, EvalMode::kThreaded,
-                               EvalMode::kFullSweep};
+constexpr EvalMode kModes[] = {EvalMode::kThreaded, EvalMode::kFullSweep};
 
 /// Sequential design with every kind of live state: a counter, an
 /// accumulator register and a RAM written while the clock runs.

@@ -1,7 +1,7 @@
 // Threaded backend: region partitioning invariants, region-output
 // diffing, the set_eval_mode/reset contract, and the quiescent-cost
 // bound on the real TRT core. The bit-exactness of the backend itself
-// is proven by the five-way differential fuzz in test_fuzz.cpp; these
+// is proven by the three-way differential fuzz in test_fuzz.cpp; these
 // tests pin the structural properties the executor's correctness
 // argument rests on.
 #include "chdl/threaded.hpp"
@@ -306,8 +306,8 @@ TEST(Region, MaxRegionOpsCapsChains) {
 }
 
 // A region whose output does not change must not wake its consumers:
-// the single change check at region outputs preserves the event-driven
-// engine's short-circuit property at region granularity.
+// the single change check at region outputs gives incremental
+// evaluation its short-circuit property at region granularity.
 TEST(Threaded, RegionOutputDiffShortCircuits) {
   Design d("diamond");
   const Wire a = d.input("a", 8);
@@ -357,8 +357,7 @@ TEST(Threaded, DispatchFlavorMatchesBuild) {
 // all state re-marked, results identical to a freshly built simulator.
 TEST(Threaded, ResetClearsActivityAndRebuildsDirtyState) {
   const Design d = plan_fixture();
-  for (const EvalMode mode :
-       {EvalMode::kEventDriven, EvalMode::kThreaded, EvalMode::kFullSweep}) {
+  for (const EvalMode mode : {EvalMode::kThreaded, EvalMode::kFullSweep}) {
     Simulator sim(d, mode);
     sim.poke("a", 123);
     sim.poke("b", 77);
@@ -389,13 +388,13 @@ TEST(Threaded, ResetClearsActivityAndRebuildsDirtyState) {
 // leak) and a same-mode switch must be a no-op.
 TEST(Threaded, MidRunModeSwitchIsBitIdentical) {
   const Design d = plan_fixture();
-  Simulator switching(d, EvalMode::kEventDriven);
-  Simulator event(d, EvalMode::kEventDriven);
+  Simulator switching(d, EvalMode::kFullSweep);
+  Simulator full(d, EvalMode::kFullSweep);
   Simulator threaded(d, EvalMode::kThreaded);
   util::Rng rng(99);
-  const EvalMode schedule[] = {EvalMode::kEventDriven, EvalMode::kThreaded,
-                               EvalMode::kFullSweep, EvalMode::kThreaded,
-                               EvalMode::kEventDriven};
+  const EvalMode schedule[] = {EvalMode::kThreaded, EvalMode::kFullSweep,
+                               EvalMode::kThreaded, EvalMode::kFullSweep,
+                               EvalMode::kThreaded};
   int phase = 0;
   for (int cycle = 0; cycle < 100; ++cycle) {
     if (cycle % 20 == 10) {
@@ -404,19 +403,19 @@ TEST(Threaded, MidRunModeSwitchIsBitIdentical) {
     }
     const std::uint64_t va = rng.next_u64() & 0xFFFF;
     const std::uint64_t vb = rng.next_u64() & 0xFFFF;
-    for (Simulator* s : {&switching, &event, &threaded}) {
+    for (Simulator* s : {&switching, &full, &threaded}) {
       s->poke("a", va);
       s->poke("b", vb);
     }
     for (std::int32_t id = 0; id < d.wire_count(); ++id) {
       const Wire w{id, d.wire_width(id)};
-      ASSERT_EQ(switching.peek(w), event.peek(w))
+      ASSERT_EQ(switching.peek(w), full.peek(w))
           << "wire " << wire_name(d, id) << " cycle " << cycle;
-      ASSERT_EQ(threaded.peek(w), event.peek(w))
+      ASSERT_EQ(threaded.peek(w), full.peek(w))
           << "wire " << wire_name(d, id) << " cycle " << cycle;
     }
     switching.step();
-    event.step();
+    full.step();
     threaded.step();
   }
 
@@ -429,8 +428,7 @@ TEST(Threaded, MidRunModeSwitchIsBitIdentical) {
 }
 
 // The headline property behind the bench_a5 speedup: an idle TRT cycle
-// costs (nearly) nothing in BOTH event and threaded mode. comp_evals
-// must not regress past 1.05x of the event engine's count.
+// changes no region or register input, so it evaluates nothing.
 TEST(Threaded, QuiescentTrtCycleCostMatchesEventMode) {
   trt::DetectorGeometry geo;
   geo.layers = 8;
@@ -439,20 +437,14 @@ TEST(Threaded, QuiescentTrtCycleCostMatchesEventMode) {
   Design d("trt_quiescent");
   trt::build_trt_core(d, bank);
 
-  const auto idle_evals = [&](EvalMode mode) {
-    Simulator sim(d, mode);
-    HostInterface host(sim);
-    host.write(0x01, 5);  // one hit, then let the core go quiescent
-    host.idle(50);
-    sim.reset_activity();
-    host.idle(1000);  // measured region: pure idle cycles
-    return sim.activity().comp_evals;
-  };
-  const std::uint64_t event = idle_evals(EvalMode::kEventDriven);
-  const std::uint64_t threaded = idle_evals(EvalMode::kThreaded);
-  EXPECT_LE(static_cast<double>(threaded),
-            1.05 * static_cast<double>(event) + 1.0)
-      << "threaded idle cost " << threaded << " vs event " << event;
+  Simulator sim(d, EvalMode::kThreaded);
+  HostInterface host(sim);
+  host.write(0x01, 5);  // one hit, then let the core go quiescent
+  host.idle(50);
+  sim.reset_activity();
+  host.idle(1000);  // measured region: pure idle cycles
+  EXPECT_EQ(sim.activity().comp_evals, 0u);
+  EXPECT_EQ(sim.activity().edges, 1000u);
 }
 
 TEST(Verify, CheckBackendsReportsDivergentWireByName) {
@@ -490,22 +482,9 @@ TEST(Verify, CheckBackendsPinsExplicitSides) {
   EXPECT_TRUE(rep) << rep.mismatch;
 }
 
-/// A long combinational chain: a tape of 2 * chain_length ops.
-Design wide_fixture(int chain_length) {
-  Design d("wide");
-  const Wire a = d.input("a", 16);
-  Wire acc = a;
-  for (int i = 0; i < chain_length; ++i) {
-    acc = d.bxor(d.add(acc, a), d.constant(16, static_cast<std::uint64_t>(i)));
-  }
-  d.output("y", acc);
-  return d;
-}
-
+// kEventDriven and kAuto survive only as names: both resolve to the
+// threaded engine, at construction and in set_eval_mode, on any tape.
 TEST(Auto, EveryTapeResolvesToThreaded) {
-  // Fanout-free-cone regions make the threaded engine the fastest on
-  // small tapes too, so kAuto picks it whatever the tape size: a
-  // one-op tape, the plan fixture and the 46-op conv core alike.
   const Design tiny = [] {
     Design d("tiny");
     d.output("y", d.bnot(d.input("x", 8)));
@@ -514,40 +493,21 @@ TEST(Auto, EveryTapeResolvesToThreaded) {
   const Design fixture = plan_fixture();
   const Design conv = conv_core_fixture();
   for (const Design* d : {&tiny, &fixture, &conv}) {
-    Simulator sim(*d, SimOptions{.mode = EvalMode::kAuto});
-    EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded) << d->name();
-    EXPECT_NE(sim.region_plan(), nullptr) << d->name();
+    for (const EvalMode legacy : {EvalMode::kAuto, EvalMode::kEventDriven}) {
+      Simulator sim(*d, SimOptions{.mode = legacy});
+      EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded) << d->name();
+      EXPECT_NE(sim.region_plan(), nullptr) << d->name();
+
+      Simulator switched(*d, EvalMode::kFullSweep);
+      EXPECT_EQ(switched.region_plan(), nullptr) << d->name();
+      switched.set_eval_mode(legacy);
+      EXPECT_EQ(switched.eval_mode(), EvalMode::kThreaded) << d->name();
+      EXPECT_NE(switched.region_plan(), nullptr) << d->name();
+    }
   }
-}
-
-TEST(Auto, LargeTapeResolvesToThreaded) {
-  const Design d = wide_fixture(300);  // ≥ 600 compiled ops
-  Simulator sim(d, SimOptions{.mode = EvalMode::kAuto});
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);
-  EXPECT_NE(sim.region_plan(), nullptr);
-}
-
-TEST(Auto, SetEvalModeReResolves) {
-  const Design d = wide_fixture(300);
-  Simulator sim(d, EvalMode::kEventDriven);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kEventDriven);
-  sim.set_eval_mode(EvalMode::kAuto);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);  // never reports kAuto
-}
-
-TEST(Auto, MatchesPinnedBackendsBitForBit) {
-  const Design d = plan_fixture();
-  BackendCheckOptions opts;
-  opts.cycles = 200;
-  SimOptions aut;
-  aut.mode = EvalMode::kAuto;
-  SimOptions event;
-  event.mode = EvalMode::kEventDriven;
-  SimOptions thr;
-  thr.mode = EvalMode::kThreaded;
-  opts.sides = {aut, event, thr};
-  const BackendCheckReport rep = check_backends(d, opts);
-  EXPECT_TRUE(rep) << rep.mismatch;
+  // A bare Simulator runs the threaded engine too.
+  Simulator plain(fixture);
+  EXPECT_EQ(plain.eval_mode(), EvalMode::kThreaded);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Parallel stepping of the 2x2 FPGA matrix must be indistinguishable
-// from serial stepping: identical neighbour-link traffic, identical RAM
-// contents, identical port values. The four node designs exchange LFSR
-// streams over the h/v links and fold what they receive into a RAM, so
-// any ordering bug in the worker-pool barrier shows up as a diff.
+// Lockstep stepping of the 2x2 FPGA matrix: AcbBoard::step_matrix must
+// match four simulators stepped and linked by hand, edge for edge —
+// identical neighbour-link traffic, RAM contents and port values. The
+// four node designs exchange LFSR streams over the h/v links and fold
+// what they receive into a RAM, so any link-ordering or off-by-one-edge
+// bug shows up as a diff.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/acb.hpp"
@@ -52,49 +54,91 @@ struct MatrixRun {
   std::vector<std::uint64_t> pattern;
 };
 
-MatrixRun run_matrix(const std::vector<Design>& nodes, bool parallel) {
-  AcbBoard board(parallel ? "acb_par" : "acb_ser");
-  for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
-    board.fpga(i).configure(
-        hw::Bitstream::from_design(nodes[static_cast<std::size_t>(i)]));
-  }
-  MatrixRun r;
-  r.report = board.step_matrix(200, parallel, /*record_trace=*/true);
-  for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
-    chdl::Simulator* sim = board.fpga(i).sim();
+constexpr int kCycles = 200;
+
+void collect_state(const std::vector<chdl::Simulator*>& sims, MatrixRun& r) {
+  for (chdl::Simulator* sim : sims) {
     std::vector<BitVec> words;
     for (std::int64_t a = 0; a < 16; ++a) words.push_back(sim->read_ram(0, a));
     r.ram.push_back(std::move(words));
     r.mix.push_back(sim->peek_u64("mix"));
     r.pattern.push_back(sim->peek_u64("h_out"));
   }
+}
+
+MatrixRun run_board(const std::vector<Design>& nodes) {
+  AcbBoard board("acb");
+  for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
+    board.fpga(i).configure(
+        hw::Bitstream::from_design(nodes[static_cast<std::size_t>(i)]));
+  }
+  MatrixRun r;
+  r.report = board.step_matrix(kCycles, /*record_trace=*/true);
+  std::vector<chdl::Simulator*> sims;
+  for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
+    sims.push_back(board.fpga(i).sim());
+  }
+  collect_state(sims, r);
   return r;
 }
 
-TEST(AcbMatrix, ParallelSteppingMatchesSerial) {
+/// The reference: four bare simulators, each stepped one edge, then the
+/// post-edge link outputs poked into the neighbours' inputs in the
+/// documented order (per FPGA in index order: horizontal, then
+/// vertical).
+MatrixRun run_by_hand(const std::vector<Design>& nodes) {
+  std::vector<std::unique_ptr<chdl::Simulator>> owned;
+  std::vector<chdl::Simulator*> sims;
+  for (const Design& d : nodes) {
+    owned.push_back(std::make_unique<chdl::Simulator>(d));
+    sims.push_back(owned.back().get());
+  }
+  MatrixRun r;
+  for (int c = 0; c < kCycles; ++c) {
+    for (chdl::Simulator* sim : sims) sim->step();
+    for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
+      const int row = i / 2, col = i % 2;
+      const struct {
+        int to;
+        const char* out;
+        const char* in;
+      } links[] = {{row * 2 + (1 - col), "h_out", "h_in"},
+                   {(1 - row) * 2 + col, "v_out", "v_in"}};
+      for (const auto& link : links) {
+        const BitVec v = sims[static_cast<std::size_t>(i)]->peek(
+            nodes[static_cast<std::size_t>(i)].port(link.out));
+        r.report.trace.push_back(
+            {static_cast<std::uint64_t>(c), i, link.to, v});
+        chdl::Simulator* dst = sims[static_cast<std::size_t>(link.to)];
+        dst->poke(nodes[static_cast<std::size_t>(link.to)].port(link.in), v);
+      }
+    }
+  }
+  collect_state(sims, r);
+  return r;
+}
+
+TEST(AcbMatrix, SteppingMatchesHandLinkedSimulators) {
   std::vector<Design> nodes;
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) nodes.push_back(make_node(i));
 
-  const MatrixRun serial = run_matrix(nodes, false);
-  const MatrixRun parallel = run_matrix(nodes, true);
+  const MatrixRun board = run_board(nodes);
+  const MatrixRun by_hand = run_by_hand(nodes);
 
-  EXPECT_EQ(serial.report.sims, 4);
-  EXPECT_EQ(serial.report.links, 8);  // 4 nodes x (h + v)
-  EXPECT_EQ(serial.report.cycles, 200u);
-  EXPECT_EQ(parallel.report.sims, serial.report.sims);
-  EXPECT_EQ(parallel.report.links, serial.report.links);
-  EXPECT_EQ(parallel.report.cycles, serial.report.cycles);
+  EXPECT_EQ(board.report.sims, 4);
+  EXPECT_EQ(board.report.links, 8);  // 4 nodes x (h + v)
+  EXPECT_EQ(board.report.cycles, static_cast<std::uint64_t>(kCycles));
 
   // The link traffic is live (the LFSRs run), not a constant stream.
-  ASSERT_FALSE(serial.report.trace.empty());
-  EXPECT_NE(serial.report.trace.front().value,
-            serial.report.trace.back().value);
+  ASSERT_FALSE(board.report.trace.empty());
+  EXPECT_NE(board.report.trace.front().value,
+            board.report.trace.back().value);
 
   // Cycle-exact traffic equality, transfer by transfer.
-  ASSERT_EQ(serial.report.trace.size(), parallel.report.trace.size());
-  for (std::size_t k = 0; k < serial.report.trace.size(); ++k) {
-    const AcbLinkTransfer& s = serial.report.trace[k];
-    const AcbLinkTransfer& p = parallel.report.trace[k];
+  ASSERT_EQ(board.report.trace.size(), by_hand.report.trace.size());
+  for (std::size_t k = 0; k < board.report.trace.size(); ++k) {
+    const AcbLinkTransfer& s = board.report.trace[k];
+    const AcbLinkTransfer& p = by_hand.report.trace[k];
     EXPECT_EQ(s.cycle, p.cycle) << "transfer " << k;
     EXPECT_EQ(s.from, p.from) << "transfer " << k;
     EXPECT_EQ(s.to, p.to) << "transfer " << k;
@@ -104,10 +148,10 @@ TEST(AcbMatrix, ParallelSteppingMatchesSerial) {
   // Final architectural state: RAM images and port values.
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
     const auto fi = static_cast<std::size_t>(i);
-    EXPECT_EQ(serial.mix[fi], parallel.mix[fi]) << "fpga " << i;
-    EXPECT_EQ(serial.pattern[fi], parallel.pattern[fi]) << "fpga " << i;
+    EXPECT_EQ(board.mix[fi], by_hand.mix[fi]) << "fpga " << i;
+    EXPECT_EQ(board.pattern[fi], by_hand.pattern[fi]) << "fpga " << i;
     for (std::size_t a = 0; a < 16; ++a) {
-      EXPECT_EQ(serial.ram[fi][a], parallel.ram[fi][a])
+      EXPECT_EQ(board.ram[fi][a], by_hand.ram[fi][a])
           << "fpga " << i << " RAM word " << a;
     }
   }
@@ -119,7 +163,7 @@ TEST(AcbMatrix, DiagonalPairHasNoLinks) {
   AcbBoard board("acb_diag");
   board.fpga(0).configure(hw::Bitstream::from_design(nodes[0]));
   board.fpga(3).configure(hw::Bitstream::from_design(nodes[3]));
-  const AcbMatrixReport r = board.step_matrix(5, /*parallel=*/true);
+  const AcbMatrixReport r = board.step_matrix(5);
   EXPECT_EQ(r.sims, 2);
   EXPECT_EQ(r.links, 0);  // FPGAs 0 and 3 are not matrix neighbours
   EXPECT_EQ(r.cycles, 5u);
@@ -138,7 +182,7 @@ TEST(AcbMatrix, SystemStepsAllBoards) {
     }
   }
   // 10 cycles x 2 boards x 4 sims = 80 simulator edges.
-  EXPECT_EQ(sys.step_acbs(10, /*parallel=*/true), 80u);
+  EXPECT_EQ(sys.step_acbs(10), 80u);
   EXPECT_EQ(sys.acb(b0).fpga(0).sim()->cycles(), 10u);
 }
 

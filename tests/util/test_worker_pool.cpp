@@ -1,9 +1,8 @@
-// WorkerPool: chunked dispatch correctness and per-worker accounting.
+// WorkerPool: dispatch correctness and per-worker accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "util/worker_pool.hpp"
@@ -11,12 +10,12 @@
 namespace atlantis::util {
 namespace {
 
-TEST(WorkerPool, ChunkedCoversEveryIndexExactlyOnce) {
+TEST(WorkerPool, ParallelForCoversEveryIndexExactlyOnce) {
   WorkerPool pool(4);
   for (const int n : {0, 1, 3, 4, 7, 64, 1000}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n > 0 ? n : 1));
     for (auto& h : hits) h.store(0);
-    pool.parallel_for_chunked(n, [&](int i) {
+    pool.parallel_for(n, [&](int i) {
       hits[static_cast<std::size_t>(i)].fetch_add(1);
     });
     int total = 0;
@@ -27,24 +26,6 @@ TEST(WorkerPool, ChunkedCoversEveryIndexExactlyOnce) {
     }
     EXPECT_EQ(total, n > 0 ? n : 0);
   }
-}
-
-TEST(WorkerPool, ChunkedMatchesParallelForResults) {
-  WorkerPool pool(3);
-  const int n = 257;
-  std::vector<std::int64_t> a(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> b(static_cast<std::size_t>(n), 0);
-  pool.parallel_for(n, [&](int i) { a[static_cast<std::size_t>(i)] = 3 * i; });
-  pool.parallel_for_chunked(
-      n, [&](int i) { b[static_cast<std::size_t>(i)] = 3 * i; });
-  EXPECT_EQ(a, b);
-}
-
-TEST(WorkerPool, SingleThreadPoolStillRunsChunked) {
-  WorkerPool pool(1);
-  std::int64_t sum = 0;
-  pool.parallel_for_chunked(100, [&](int i) { sum += i; });
-  EXPECT_EQ(sum, 4950);
 }
 
 TEST(WorkerPool, WorkerStatsAccountForEveryTask) {
@@ -63,17 +44,6 @@ TEST(WorkerPool, WorkerStatsAccountForEveryTask) {
   }
   // Per-index dispatch: every index is one task, wherever it landed.
   EXPECT_EQ(tasks, static_cast<std::uint64_t>(n));
-
-  // Chunked dispatch: at most size() chunks are handed out in total
-  // (which worker grabs each one depends on wake-up timing).
-  pool.reset_worker_stats();
-  pool.parallel_for_chunked(n, [&](int) {});
-  std::uint64_t chunks = 0;
-  for (const WorkerPool::WorkerStats& s : pool.worker_stats()) {
-    chunks += s.tasks;
-  }
-  EXPECT_GE(chunks, 1u);
-  EXPECT_LE(chunks, 4u);
 }
 
 TEST(WorkerPool, SerialFallbackChargesTheCaller) {
