@@ -137,6 +137,10 @@ const char* fused_op_name(FusedOp op) {
       return "xor_imm";
     case FusedOp::kSliceImm:
       return "slice_imm";
+    case FusedOp::kAndBit:
+      return "and_bit";
+    case FusedOp::kSelect:
+      return "select";
   }
   return "?";
 }
@@ -191,8 +195,17 @@ std::string export_netlist(const Design& d, const OptimizedNetlist& opt) {
     if (fused != opt.fused.end()) {
       const FusedComp& f = fused->second;
       os << fused_op_name(f.op) << "(%" << f.in0.id;
-      if (f.in1.valid()) os << ", %" << f.in1.id;
-      os << ", imm=0x" << std::hex << f.imm << std::dec << ")";
+      if (f.op == FusedOp::kSelect) {
+        // select(%addr, 0x2: %a, 0x5: %b, ..., else %default)
+        for (std::size_t k = 0; k < f.keys.size(); ++k) {
+          os << ", 0x" << std::hex << f.keys[k] << std::dec << ": %"
+             << f.arms[k].id;
+        }
+        os << ", else %" << f.in1.id << ")";
+      } else {
+        if (f.in1.valid()) os << ", %" << f.in1.id;
+        os << ", imm=0x" << std::hex << f.imm << std::dec << ")";
+      }
     } else {
       os << comp_kind_name(c.kind) << "(";
       bool first = true;

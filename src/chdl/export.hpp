@@ -19,7 +19,8 @@ namespace atlantis::chdl {
 std::string export_netlist(const Design& design);
 
 /// Post-optimizer view of the same netlist: surviving combinational
-/// components with their forwarded inputs and fused opcode mnemonics,
+/// components with their forwarded inputs and fused opcode mnemonics
+/// (a table select lists its `key: %arm` pairs and `else %default`),
 /// folded wires printed as constants, aliased wires as `%a -> %b`
 /// forwarding lines, and DCE'd logic omitted. This is what the
 /// simulator's op tape is compiled from; `export_netlist(design)` above

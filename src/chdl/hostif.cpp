@@ -14,36 +14,36 @@ HostInterface::HostInterface(Simulator& sim, ClockId clock)
 }
 
 void HostInterface::write(std::uint32_t addr, std::uint64_t data) {
-  sim_.poke(addr_, BitVec(addr_.width, addr));
-  sim_.poke(wdata_, BitVec(wdata_.width, data));
-  sim_.poke(we_, BitVec(1, 1));
+  sim_.poke(addr_, addr);
+  sim_.poke(wdata_, data);
+  sim_.poke(we_, 1);
   sim_.step(clock_);
-  sim_.poke(we_, BitVec(1, 0));
+  sim_.poke(we_, 0);
 }
 
 std::uint64_t HostInterface::read(std::uint32_t addr) {
-  sim_.poke(addr_, BitVec(addr_.width, addr));
-  return sim_.peek(rdata_).to_u64();
+  sim_.poke(addr_, addr);
+  return sim_.peek_u64(rdata_);
 }
 
 void HostInterface::write_block(std::uint32_t addr,
                                 std::span<const std::uint64_t> data) {
-  sim_.poke(addr_, BitVec(addr_.width, addr));
+  sim_.poke(addr_, addr);
   for (const std::uint64_t word : data) {
-    sim_.poke(wdata_, BitVec(wdata_.width, word));
-    sim_.poke(we_, BitVec(1, 1));
+    sim_.poke(wdata_, word);
+    sim_.poke(we_, 1);
     sim_.step(clock_);
   }
-  sim_.poke(we_, BitVec(1, 0));
+  sim_.poke(we_, 0);
 }
 
 std::vector<std::uint64_t> HostInterface::read_block(std::uint32_t addr,
                                                      std::size_t count) {
   std::vector<std::uint64_t> out;
   out.reserve(count);
-  sim_.poke(addr_, BitVec(addr_.width, addr));
+  sim_.poke(addr_, addr);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(sim_.peek(rdata_).to_u64());
+    out.push_back(sim_.peek_u64(rdata_));
     sim_.step(clock_);
   }
   return out;

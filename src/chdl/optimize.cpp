@@ -128,6 +128,7 @@ struct Pipeline {
   void cse_pass(OptimizePassStats& stats);
   // --- pass 4: peephole fusion -----------------------------------------
   void fuse_pass(OptimizePassStats& stats);
+  void select_pass(OptimizePassStats& stats);
 
   BitVec eval_const(const Component& c, const std::vector<const BitVec*>& in);
 };
@@ -342,6 +343,7 @@ std::int64_t Pipeline::dce_sweep() {
     if (fit != out.fused.end()) {
       need(fit->second.in0);
       need(fit->second.in1);
+      for (const Wire w : fit->second.arms) need(w);
     } else {
       for (const Wire w : comps[static_cast<std::size_t>(p)].in) {
         need(resolve(w));
@@ -438,7 +440,11 @@ void Pipeline::fuse_pass(OptimizePassStats& stats) {
       if (!v.empty() && v.width() <= 64) cin[k] = &v;
     }
     auto fuse = [&](FusedOp op, Wire in0, Wire in1, std::uint64_t imm) {
-      out.fused[idx] = FusedComp{op, in0, in1, imm};
+      FusedComp& fc = out.fused[idx];
+      fc.op = op;
+      fc.in0 = in0;
+      fc.in1 = in1;
+      fc.imm = imm;
       ++stats.rewrites;
     };
     // Binary op with one constant operand -> immediate form. Returns the
@@ -461,8 +467,22 @@ void Pipeline::fuse_pass(OptimizePassStats& stats) {
                cin[static_cast<std::size_t>(1 - side)]->to_u64_lossy());
           break;
         }
-        // and/or over an inverter: absorb the kNot.
         if (!single(c.out)) break;
+        // 1-bit and over a one-bit slice: read the bit straight out of
+        // the word of the sliced wire that holds it, whatever its width.
+        if (is_and && c.out.width == 1) {
+          std::size_t k = 2;
+          const Component* sl = nullptr;
+          while (sl == nullptr && k-- > 0) {
+            sl = plain_producer_of(rin[k], CompKind::kSlice);
+          }
+          if (sl != nullptr) {
+            fuse(FusedOp::kAndBit, rin[1 - k], resolve(sl->in[0]),
+                 static_cast<std::uint64_t>(sl->a));
+            break;
+          }
+        }
+        // and/or over an inverter: absorb the kNot.
         for (int k = 1; k >= 0; --k) {
           const auto ks = static_cast<std::size_t>(k);
           const Component* inv = plain_producer_of(rin[ks], CompKind::kNot);
@@ -561,6 +581,113 @@ void Pipeline::fuse_pass(OptimizePassStats& stats) {
   }
 }
 
+void Pipeline::select_pass(OptimizePassStats& stats) {
+  const auto& comps = d.components();
+  // Address and key of a select wire: a compare of one <= 64-bit wire
+  // against a constant, which the loop above has fused to kEqImm.
+  struct Compare {
+    Wire addr{};
+    std::uint64_t key = 0;
+  };
+  const auto compare_of = [&](Wire sel, Compare& cmp) {
+    const std::int32_t p = producer[static_cast<std::size_t>(sel.id)];
+    if (p < 0) return false;
+    const auto fit = out.fused.find(p);
+    if (fit == out.fused.end() || fit->second.op != FusedOp::kEqImm) {
+      return false;
+    }
+    cmp = {fit->second.in0, fit->second.imm};
+    return true;
+  };
+  // A chain link: an alive, unfused, single-word mux whose select
+  // compares an address wire to a constant.
+  const auto link_of = [&](std::int32_t i, Compare& cmp) {
+    const Component& c = comps[static_cast<std::size_t>(i)];
+    return c.kind == CompKind::kMux &&
+           out.comp_alive[static_cast<std::size_t>(i)] != 0 &&
+           c.out.width <= 64 && out.fused.count(i) == 0 &&
+           compare_of(resolve(c.in[0]), cmp);
+  };
+
+  // Consumers per representative wire over everything that reads one:
+  // alive comb ops (through their fused operands), sequential inputs,
+  // output ports; `keep` pins a wire as if it had another consumer.
+  std::vector<std::int32_t> uses(cval.size(), 0);
+  const auto use = [&](Wire w) {
+    if (w.valid()) ++uses[static_cast<std::size_t>(find(w.id))];
+  };
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    const Component& c = comps[i];
+    if (is_comb(c.kind) && !out.comp_alive[i]) continue;
+    const auto fit = out.fused.find(static_cast<std::int32_t>(i));
+    if (fit != out.fused.end()) {
+      use(fit->second.in0);
+      use(fit->second.in1);
+      for (const Wire w : fit->second.arms) use(w);
+    } else {
+      for (const Wire w : c.in) use(w);
+    }
+  }
+  for (const Wire w : opts.keep) use(w);
+
+  // Heads are visited outermost first (a mux is created after its else
+  // input), so every chain is collapsed whole into its outermost mux.
+  std::vector<std::uint8_t> absorbed(comps.size(), 0);
+  struct Entry {
+    std::uint64_t key;
+    Wire arm;
+  };
+  std::vector<Entry> entries;
+  for (std::size_t h = comps.size(); h-- > 0;) {
+    const auto head = static_cast<std::int32_t>(h);
+    Compare first;
+    if (absorbed[h] || !link_of(head, first)) continue;
+    entries.clear();
+    Wire base{};
+    Compare cmp = first;
+    for (std::int32_t m = head;;) {
+      const Component& c = comps[static_cast<std::size_t>(m)];
+      Wire arm = resolve(c.in[1]);
+      // A zero-extension {0, x} arm reads x's word directly.
+      const std::int32_t ap = producer[static_cast<std::size_t>(arm.id)];
+      if (ap >= 0 && out.fused.count(ap) == 0) {
+        const Component& cat = comps[static_cast<std::size_t>(ap)];
+        if (cat.kind == CompKind::kConcat && cat.in.size() == 2) {
+          const BitVec& hi = const_of(resolve(cat.in[0]).id);
+          if (!hi.empty() && !hi.any()) arm = resolve(cat.in[1]);
+        }
+      }
+      entries.push_back({cmp.key, arm});
+      base = resolve(c.in[2]);
+      // Follow the else wire only into a mux it alone feeds.
+      const std::int32_t next = producer[static_cast<std::size_t>(base.id)];
+      if (next < 0 || uses[static_cast<std::size_t>(base.id)] != 1 ||
+          !link_of(next, cmp) || cmp.addr.id != first.addr.id) {
+        break;
+      }
+      absorbed[static_cast<std::size_t>(next)] = 1;
+      m = next;
+    }
+    if (entries.size() < 2) continue;
+    // Priority: on a duplicate key the outermost entry (first in chain
+    // order) wins; a stable sort keeps it first among its equals.
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    FusedComp fc;
+    fc.op = FusedOp::kSelect;
+    fc.in0 = first.addr;
+    fc.in1 = base;
+    for (const Entry& e : entries) {
+      if (!fc.keys.empty() && fc.keys.back() == e.key) continue;
+      fc.keys.push_back(e.key);
+      fc.arms.push_back(e.arm);
+    }
+    out.fused[head] = std::move(fc);
+    ++stats.rewrites;
+  }
+}
+
 }  // namespace
 
 const OptimizePassStats* OptimizeReport::pass(const std::string& name) const {
@@ -601,6 +728,7 @@ OptimizedNetlist optimize(const Design& design, const OptimizeOptions& opts) {
   run("cse", opts.cse, [&](OptimizePassStats& s) { p.cse_pass(s); });
   run("fuse", opts.fuse, [&](OptimizePassStats& s) {
     p.fuse_pass(s);
+    p.select_pass(s);
     // Fusion bypasses inverters / compares / concats; sweep whatever is
     // now unconsumed so the tape doesn't dispatch orphans.
     if (opts.dce) p.dce_sweep();

@@ -16,8 +16,10 @@
 //      op; commutative kinds are input-order normalized.
 //   4. fuse — peephole fusion of hot adjacent pairs into fused tape
 //      opcodes (not+and -> and-not, compare-to-constant immediates,
-//      slice-of-concat forwarding) so the single-word fast path executes
-//      fewer dispatches.
+//      slice-of-concat forwarding, and-over-one-bit-slice) so the
+//      single-word fast path executes fewer dispatches; then priority
+//      mux chains over one address wire (a host read-back mux) collapse
+//      into one table select.
 //
 // The Design itself is NEVER mutated — gate/fit accounting (chdl::stats,
 // bench_a4) always sees the netlist as elaborated. The optimizer's
@@ -50,7 +52,8 @@ namespace atlantis::chdl {
 
 /// Fused tape opcodes produced by the peephole pass. All fused forms are
 /// restricted to single-word (<= 64 bit) operands so they always take
-/// the simulator's fast path.
+/// the simulator's fast path — except kAndBit's bit source, of which
+/// only the one word holding the bit is read.
 enum class FusedOp : std::uint8_t {
   kNone,
   kAndNot,    // out = in0 & ~in1        (and over an inverter)
@@ -65,15 +68,25 @@ enum class FusedOp : std::uint8_t {
   kOrImm,     // out = in0 | imm
   kXorImm,    // out = in0 ^ imm
   kSliceImm,  // out = (in0 >> imm) & width_mask   (slice-of-concat)
+  kAndBit,    // out = in0 & bit imm of in1   (1-bit and over a bit slice;
+              //                               in1 may be any width)
+  kSelect,    // out = arms[k] where keys[k] == in0, else in1
+              //   (priority mux chain over compares of one address)
 };
 
 /// One fused component: the opcode plus its rewritten operands. `in1` is
-/// only used by the two-input forms (kAndNot/kOrNot).
+/// only used by the two-input forms (kAndNot/kOrNot/kAndBit) and as
+/// kSelect's default. `keys`/`arms` are kSelect's table: keys ascending
+/// and unique (on a duplicate key the chain's outermost mux wins, as in
+/// the chain), arms parallel to them; an arm that was a zero-extension
+/// {0, x} is x itself.
 struct FusedComp {
   FusedOp op = FusedOp::kNone;
   Wire in0{};
   Wire in1{};
   std::uint64_t imm = 0;
+  std::vector<std::uint64_t> keys;
+  std::vector<Wire> arms;
 };
 
 /// Pass toggles plus wires that must survive dead-logic elimination

@@ -55,13 +55,16 @@ RegionPlan build_region_plan(const RegionGraph& graph,
   for (std::int32_t t = 0; t < n_ops; ++t) {
     const std::size_t ut = static_cast<std::size_t>(t);
     std::int32_t first = -1, last = -1, n = 1, lvl = 0;
+    // A wide reader (a table select) changes on any of its many inputs;
+    // an absorbed cone would re-run on every one of them.
+    const bool absorbs = ins_end(t) - ins_begin(t) <= kMaxAbsorbingInputs;
     for (std::int32_t i = ins_begin(t); i < ins_end(t); ++i) {
       const std::int32_t w = in_wire(i);
       const std::int32_t p = producer[static_cast<std::size_t>(w)];
       if (p < 0) continue;
       const std::size_t up = static_cast<std::size_t>(p);
       if (absorbed_by[up] == t) continue;  // operand repeated
-      if (sole_consumer[static_cast<std::size_t>(w)] == t &&
+      if (absorbs && sole_consumer[static_cast<std::size_t>(w)] == t &&
           n + cone_size[up] <= opts.max_region_ops) {
         absorbed_by[up] = t;
         n += cone_size[up];

@@ -15,7 +15,10 @@
 //     The absorbed regions share no edges, so their blocks concatenated,
 //     then the op, stay in topological order. Regions are fanout-free
 //     cones: only a root (an op with no in-region consumer) ever feeds
-//     another region;
+//     another region. An op reading more than kMaxAbsorbingInputs wires
+//     (a host read-back table select) absorbs nothing: it is dirtied by
+//     any one of its inputs, and each time it would re-run every cone it
+//     had absorbed;
 //   * sibling groups — cones that read exactly the same set of external
 //     wires are always dirtied together and sit at the same level, so
 //     they are fused into one block. The cap does not apply: no member
@@ -59,6 +62,9 @@ struct RegionGraph {
     return static_cast<std::int32_t>(out_wire.size());
   }
 };
+
+/// Input count above which an op starts its own region (see above).
+inline constexpr std::int32_t kMaxAbsorbingInputs = 3;
 
 struct RegionBuildOptions {
   /// Upper bound on ops per cone. Bigger cones amortize dispatch better

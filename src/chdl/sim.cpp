@@ -206,6 +206,7 @@ void Simulator::compile_tape() {
   std::vector<std::int32_t> level_of_wire(slots_.size(), -1);
   tape_.clear();
   tape_.reserve(comb_order_.size());
+  select_tables_.clear();
   // Effective inputs per tape op, kept as a CSR: the component's inputs
   // resolved through the optimizer's forwarding map, or the fused
   // operands when the peephole pass rewrote the op. Used for levels,
@@ -236,6 +237,7 @@ void Simulator::compile_tape() {
     if (fc != nullptr) {
       ins.push_back(fc->in0);
       if (fc->in1.valid()) ins.push_back(fc->in1);
+      ins.insert(ins.end(), fc->arms.begin(), fc->arms.end());
     } else {
       for (const Wire w : c.in) {
         if (!w.valid()) continue;
@@ -260,11 +262,19 @@ void Simulator::compile_tape() {
       return true;
     };
     std::int32_t in0_word = 0;  // word of input 0 a single-word op reads
+    std::int32_t in1_word = 0;  // word of input 1 a single-word op reads
     if (fc != nullptr) {
-      // Fused opcodes are produced only for single-word operands.
+      // Fused opcodes read one word per operand.
       op.fused = fc->op;
       op.imm = fc->imm;
       op.single = true;
+      if (fc->op == FusedOp::kAndBit) {
+        in1_word = static_cast<std::int32_t>(fc->imm / 64);
+        op.a = static_cast<std::int32_t>(fc->imm % 64);
+      } else if (fc->op == FusedOp::kSelect) {
+        op.a = static_cast<std::int32_t>(select_tables_.size());
+        select_tables_.push_back(compile_select(*fc));
+      }
     } else {
       switch (c.kind) {
         case CompKind::kNot:
@@ -311,7 +321,7 @@ void Simulator::compile_tape() {
         return slots_[static_cast<std::size_t>(ins[k].id)].offset;
       };
       if (ins.size() > 0) op.in0 = off(0) + in0_word;
-      if (ins.size() > 1) op.in1 = off(1);
+      if (ins.size() > 1) op.in1 = off(1) + in1_word;
       if (ins.size() > 2) op.in2 = off(2);
       if (fc == nullptr && c.kind == CompKind::kReduceAnd) {
         op.in_mask = width_mask(ins[0].width);
@@ -322,6 +332,29 @@ void Simulator::compile_tape() {
     tape_in_begin_.push_back(static_cast<std::int32_t>(tape_in_wires_.size()));
   }
   comb_levels_ = max_level + 1;
+}
+
+SelectTable Simulator::compile_select(const FusedComp& fc) const {
+  const auto off = [&](Wire w) {
+    return slots_[static_cast<std::size_t>(w.id)].offset;
+  };
+  SelectTable t;
+  t.default_off = off(fc.in1);
+  // The optimizer hands over unique ascending keys, so the span below
+  // counts every address from the first key to the last.
+  const std::uint64_t span = fc.keys.back() - fc.keys.front();
+  if (span < 2 * static_cast<std::uint64_t>(fc.keys.size())) {
+    t.first_key = fc.keys.front();
+    t.dense_off.assign(static_cast<std::size_t>(span) + 1, t.default_off);
+    for (std::size_t k = 0; k < fc.keys.size(); ++k) {
+      t.dense_off[static_cast<std::size_t>(fc.keys[k] - t.first_key)] =
+          off(fc.arms[k]);
+    }
+  } else {
+    t.keys = fc.keys;
+    for (const Wire w : fc.arms) t.arm_off.push_back(off(w));
+  }
+  return t;
 }
 
 void Simulator::mark_all_dirty() {
@@ -439,11 +472,21 @@ BitVec Simulator::load(Wire w) const {
   return v;
 }
 
-void Simulator::poke(Wire input, const BitVec& value) {
+void Simulator::check_input(Wire input) const {
   ATLANTIS_CHECK(input.valid() &&
                      input.id < static_cast<std::int32_t>(is_input_.size()) &&
                      is_input_[static_cast<std::size_t>(input.id)] != 0,
                  "poke target is not a design input");
+}
+
+void Simulator::note_input_changed(Wire input) {
+  if (mode_ == EvalMode::kThreaded) threaded_->mark_wire(input.id);
+  comb_dirty_ = true;
+  lazy_stale_ = true;
+}
+
+void Simulator::poke(Wire input, const BitVec& value) {
+  check_input(input);
   ATLANTIS_CHECK(value.width() == input.width, "value width mismatch");
   const WireSlot& s = slots_[static_cast<std::size_t>(input.id)];
   std::uint64_t* dst = values_.data() + s.offset;
@@ -451,14 +494,25 @@ void Simulator::poke(Wire input, const BitVec& value) {
     return;  // unchanged input: nothing downstream can change
   }
   std::copy(value.words().begin(), value.words().end(), dst);
-  if (mode_ == EvalMode::kThreaded) threaded_->mark_wire(input.id);
-  comb_dirty_ = true;
-  lazy_stale_ = true;
+  note_input_changed(input);
+}
+
+void Simulator::poke(Wire input, std::uint64_t value) {
+  if (input.width > 64) {
+    poke(input, BitVec(input.width, value));
+    return;
+  }
+  check_input(input);
+  std::uint64_t& dst = values_[static_cast<std::size_t>(
+      slots_[static_cast<std::size_t>(input.id)].offset)];
+  value &= width_mask(input.width);
+  if (dst == value) return;
+  dst = value;
+  note_input_changed(input);
 }
 
 void Simulator::poke(const std::string& port, std::uint64_t value) {
-  const Wire w = design_.port(port);
-  poke(w, BitVec(w.width, value));
+  poke(design_.port(port), value);
 }
 
 BitVec Simulator::peek(Wire w) {
@@ -482,7 +536,15 @@ void Simulator::refresh_lazy() {
   lazy_stale_ = false;
 }
 
-std::uint64_t Simulator::peek_u64(Wire w) { return peek(w).to_u64(); }
+std::uint64_t Simulator::peek_u64(Wire w) {
+  if (!w.valid() || w.width > 64) return peek(w).to_u64();
+  eval_comb();
+  if (lazy_stale_ && wire_lazy_[static_cast<std::size_t>(w.id)] != 0) {
+    refresh_lazy();
+  }
+  return values_[static_cast<std::size_t>(
+      slots_[static_cast<std::size_t>(w.id)].offset)];
+}
 
 std::uint64_t Simulator::peek_u64(const std::string& port) {
   return peek_u64(design_.port(port));

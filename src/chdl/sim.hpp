@@ -10,8 +10,9 @@
 // component-creation order (which is topological), into a flat "op
 // tape" of POD records (opcode, input/output word offsets, width
 // mask). A slice that lies inside one 64-bit word of a wider wire
-// compiles to a single-word op on that word. There are two evaluation
-// policies:
+// compiles to a single-word op on that word, and a fused table select
+// (a host read-back mux chain) to one op over a SelectTable. There are
+// two evaluation policies:
 //
 //  * kThreaded (the default): the op tape is re-compiled into region
 //    superops (fanout-free cones, chdl/region.hpp) executed by a
@@ -29,9 +30,12 @@
 //
 // The application drives the design directly — poke inputs, clock, peek
 // outputs — which is the CHDL workflow: the C++ program that will operate
-// the real FPGA is also its test bench.
+// the real FPGA is also its test bench. The word-valued poke/peek_u64
+// forms allocate nothing for wires of 64 bits or fewer, which keeps a
+// host-bus register access (chdl/hostif.hpp) free of heap traffic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,6 +69,31 @@ struct SimOptions {
   OptimizeOptions opt{};
   /// Region partitioning knobs for EvalMode::kThreaded.
   RegionBuildOptions region{};
+};
+
+/// Compiled lookup of one FusedOp::kSelect tape op: which word of the
+/// value array holds the result for a given address. compile_tape picks
+/// the form by a fixed rule: a dense table indexed by (address - first
+/// key) when the keys span fewer than twice as many addresses as there
+/// are keys, otherwise a binary search over the sorted keys.
+struct SelectTable {
+  std::int32_t default_off = 0;         // unmapped addresses read this
+  std::uint64_t first_key = 0;          // dense: address of dense_off[0]
+  std::vector<std::int32_t> dense_off;  // dense: per address, arm or default
+  std::vector<std::uint64_t> keys;      // sparse: ascending, unique
+  std::vector<std::int32_t> arm_off;    // sparse: parallel to keys
+
+  std::int32_t lookup(std::uint64_t addr) const {
+    if (!dense_off.empty()) {
+      // Below first_key the difference wraps past the table's end.
+      const std::uint64_t i = addr - first_key;
+      return i < dense_off.size() ? dense_off[i] : default_off;
+    }
+    const auto it = std::lower_bound(keys.begin(), keys.end(), addr);
+    return it != keys.end() && *it == addr ? arm_off[static_cast<std::size_t>(
+                                                 it - keys.begin())]
+                                           : default_off;
+  }
 };
 
 /// Work counters for speed reporting and activity-based tuning.
@@ -101,15 +130,16 @@ class Simulator {
   const SimActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = {}; }
 
-  /// Drives an input port.
+  /// Drives an input port. The word form masks `value` to the port's
+  /// width; for ports of 64 bits or fewer it allocates nothing (the
+  /// host-interface path), wider ports go through the BitVec form.
   void poke(Wire input, const BitVec& value);
-  void poke(Wire input, std::uint64_t value) {
-    poke(input, BitVec(input.width, value));
-  }
+  void poke(Wire input, std::uint64_t value);
   void poke(const std::string& port, std::uint64_t value);
 
   /// Reads any wire's current value (combinational logic is brought
-  /// up to date first).
+  /// up to date first). peek_u64 allocates nothing for wires of 64 bits
+  /// or fewer and throws for wider ones, like BitVec::to_u64.
   BitVec peek(Wire w);
   std::uint64_t peek_u64(Wire w);
   std::uint64_t peek_u64(const std::string& port);
@@ -184,8 +214,10 @@ class Simulator {
   };
 
   /// One compiled combinational component. `single` marks the ≤64-bit
-  /// fast path: all inputs and the output are one word, so the threaded
-  /// backend decodes it into one TOp with no Component/Wire chasing.
+  /// fast path: every word it reads and the output are one word each, so
+  /// the threaded backend decodes it into one TOp with no Component/Wire
+  /// chasing. A kSelect op's `a` indexes select_tables_; a kAndBit op's
+  /// in1 is the word holding the bit and `a` the bit within it.
   struct Op {
     CompKind kind = CompKind::kConst;
     FusedOp fused = FusedOp::kNone;  // != kNone: fused fast-path opcode
@@ -219,6 +251,9 @@ class Simulator {
   void ensure_backend();
   void store(Wire w, const BitVec& v);
   BitVec load(Wire w) const;
+  void check_input(Wire input) const;
+  void note_input_changed(Wire input);
+  SelectTable compile_select(const FusedComp& fc) const;
 
   const Design& design_;
   EvalMode mode_;
@@ -237,6 +272,7 @@ class Simulator {
 
   // The compiled op tape, decoded by the threaded backend.
   std::vector<Op> tape_;                   // comb ops, creation order
+  std::vector<SelectTable> select_tables_;  // kSelect ops' lookups
   std::vector<std::int32_t> tape_in_begin_;  // tape op -> input wires CSR ...
   std::vector<std::int32_t> tape_in_wires_;  // ... (optimizer-resolved ids)
   int comb_levels_ = 0;                    // tape levels (max level + 1)

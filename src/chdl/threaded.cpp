@@ -59,7 +59,9 @@ bool threaded_uses_computed_goto() {
   X(kAndImm, v[op->in0] & op->imm)                                       \
   X(kOrImm, v[op->in0] | op->imm)                                        \
   X(kXorImm, v[op->in0] ^ op->imm)                                       \
-  X(kSliceImm, (v[op->in0] >> op->imm) & op->mask)
+  X(kSliceImm, (v[op->in0] >> op->imm) & op->mask)                      \
+  X(kAndBit, v[op->in0] & (v[op->in1] >> op->a) & 1)                     \
+  X(kSelect, v[sel[op->a].lookup(v[op->in0])])
 
 ThreadedBackend::ThreadedBackend(Simulator& sim,
                                  const RegionBuildOptions& opts)
@@ -67,6 +69,11 @@ ThreadedBackend::ThreadedBackend(Simulator& sim,
   decode_tape();
   build_seq_tape();
   shadow_.assign(sim_.values_.size(), 0);
+  out_slots_.reserve(plan_.out_wires.size());
+  for (const std::int32_t w : plan_.out_wires) {
+    const auto& slot = sim_.slots_[static_cast<std::size_t>(w)];
+    out_slots_.push_back({slot.offset, slot.words});
+  }
   buckets_.assign(static_cast<std::size_t>(plan_.max_level) + 1, {});
   region_queued_.assign(plan_.regions.size(), 0);
 }
@@ -101,6 +108,8 @@ void ThreadedBackend::decode_tape() {
           case FusedOp::kOrImm:    d.code = TCode::kOrImm; break;
           case FusedOp::kXorImm:   d.code = TCode::kXorImm; break;
           case FusedOp::kSliceImm: d.code = TCode::kSliceImm; break;
+          case FusedOp::kAndBit:   d.code = TCode::kAndBit; break;
+          case FusedOp::kSelect:   d.code = TCode::kSelect; break;
           case FusedOp::kNone:     break;
         }
       } else if (src.single) {
@@ -291,6 +300,7 @@ void ThreadedBackend::execute_region(std::int32_t r) {
   const Region& region = plan_.regions[static_cast<std::size_t>(r)];
   const TOp* op = code_.data() + code_begin_[static_cast<std::size_t>(r)];
   std::uint64_t* const v = sim_.values_.data();
+  const SelectTable* const sel = sim_.select_tables_.data();
   const auto& comps = sim_.design_.components();
 
 #if ATLANTIS_THREADED_COMPUTED_GOTO
@@ -347,14 +357,18 @@ L_End:;
   // each consumer last saw, propagate only real changes.
   std::uint64_t* const sh = shadow_.data();
   for (std::int32_t i = region.outs_begin; i < region.outs_end; ++i) {
-    const std::int32_t w = plan_.out_wires[static_cast<std::size_t>(i)];
-    const auto& slot = sim_.slots_[static_cast<std::size_t>(w)];
-    std::uint64_t* cur = v + slot.offset;
-    std::uint64_t* old = sh + slot.offset;
-    if (std::equal(cur, cur + slot.words, old)) continue;
-    std::copy(cur, cur + slot.words, old);
+    const OutSlot& o = out_slots_[static_cast<std::size_t>(i)];
+    std::uint64_t* cur = v + o.offset;
+    std::uint64_t* old = sh + o.offset;
+    if (o.words == 1) {
+      if (*cur == *old) continue;
+      *old = *cur;
+    } else {
+      if (std::equal(cur, cur + o.words, old)) continue;
+      std::copy(cur, cur + o.words, old);
+    }
     ++sim_.activity_.comp_changes;
-    mark_wire(w);
+    mark_wire(plan_.out_wires[static_cast<std::size_t>(i)]);
   }
 }
 

@@ -20,7 +20,13 @@
 //    fanout-free cones (plus sibling groups of cones that read the same
 //    wires) executed as straight-line blocks: no per-op queue flags, one
 //    change check at the region outputs (diffed against a shadow copy of
-//    the last value each consumer saw);
+//    the last value each consumer saw, through an (offset, words) array
+//    parallel to the plan's output list, one compare for a one-word
+//    output);
+//  * host-bus idioms as single ops — a host read-back mux chain runs as
+//    one table select (kSelect: dense offset table or binary search,
+//    fixed at compile time) and a 1-bit gate over a bit of a wide row as
+//    one and_bit, both produced by the optimizer's fuse pass;
 //  * an event-driven edge tape — sequential components are compiled
 //    into SeqOp records and latched only when marked dirty by a fanin
 //    change (registers are idempotent once their inputs are stable; an
@@ -83,6 +89,8 @@ enum class TCode : std::uint8_t {
   kOrImm,
   kXorImm,
   kSliceImm,
+  kAndBit,     // in1 = the word holding the bit, a = the bit within it
+  kSelect,     // a indexes Simulator::select_tables_
   kCount_,
 };
 
@@ -92,7 +100,8 @@ struct TOp {
   TCode code = TCode::kEnd;
   std::int32_t in0 = 0, in1 = 0, in2 = 0;  // input word offsets
   std::int32_t out = 0;                    // output word offset
-  std::int32_t a = 0;        // shift amount / slice lo / concat lo width
+  std::int32_t a = 0;        // shift amount / slice lo / concat lo width /
+                             // and_bit bit / select table index
   std::int32_t comp = -1;    // kWide: component index
   std::uint64_t mask = ~std::uint64_t{0};  // output width mask
   std::uint64_t imm = 0;     // fused immediate; kReduceAnd input mask
@@ -156,6 +165,13 @@ class ThreadedBackend {
   // Last value each region output propagated; diffing against it is the
   // single change check that replaces per-op change propagation.
   std::vector<std::uint64_t> shadow_;
+  // Storage of each plan_.out_wires entry, parallel to it, so the diff
+  // reads no WireSlot.
+  struct OutSlot {
+    std::int32_t offset = 0;
+    std::int32_t words = 0;
+  };
+  std::vector<OutSlot> out_slots_;
 
   // Region worklist, bucketed by region level.
   std::vector<std::vector<std::int32_t>> buckets_;  // by region level

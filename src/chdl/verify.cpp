@@ -82,7 +82,9 @@ std::string wire_name(const Design& d, std::int32_t wire_id) {
       return "'" + c.name + "'";
     }
   }
-  return "#" + std::to_string(wire_id);
+  std::string anonymous = "#";
+  anonymous += std::to_string(wire_id);
+  return anonymous;
 }
 
 namespace {

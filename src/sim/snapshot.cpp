@@ -47,13 +47,12 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return c ^ 0xFFFFFFFFu;
 }
 
-SnapshotWriter::SnapshotWriter() {
-  std::uint8_t header[12];
-  store_le(header, kSnapshotMagic, 4);
-  store_le(header + 4, kSnapshotMajor, 2);
-  store_le(header + 6, kSnapshotMinor, 2);
-  store_le(header + 8, 0, 4);  // reserved
-  buf_.insert(buf_.end(), header, header + sizeof(header));
+SnapshotWriter::SnapshotWriter() : buf_(12) {
+  // The 12-byte header is stored in place: magic, major, minor, and
+  // four reserved bytes the constructor already zeroed.
+  store_le(buf_.data(), kSnapshotMagic, 4);
+  store_le(buf_.data() + 4, kSnapshotMajor, 2);
+  store_le(buf_.data() + 6, kSnapshotMinor, 2);
 }
 
 void SnapshotWriter::raw(const void* p, std::size_t n) {

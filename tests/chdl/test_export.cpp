@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chdl/builder.hpp"
 
 namespace atlantis::chdl {
@@ -48,6 +50,37 @@ TEST(Export, SliceAndShiftShowParameters) {
   const std::string text = export_netlist(d);
   EXPECT_NE(text.find("lo=4"), std::string::npos);
   EXPECT_NE(text.find("n=3"), std::string::npos);
+}
+
+// The optimized view prints a select's whole table, not just its first
+// two operands, and names the fused and-over-bit gate.
+TEST(Export, OptimizedNetlistListsSelectTableAndBitGates) {
+  Design d("sel");
+  const Wire addr = d.input("addr", 4);
+  const Wire a = d.input("a", 8);
+  const Wire b = d.input("b", 8);
+  const Wire zero = d.constant(8, 0);
+  const Wire chain = d.mux(eq_const(d, addr, 0xB), b,
+                           d.mux(eq_const(d, addr, 2), a, zero));
+  d.output("y", chain);
+  const Wire en = d.input("en", 1);
+  const Wire row = d.input("row", 130);
+  const Wire gate = d.band(en, d.bit(row, 129));
+  d.output("g", gate);
+
+  const std::string text = export_netlist(d, optimize(d));
+  const auto id = [](Wire w) { return "%" + std::to_string(w.id); };
+  EXPECT_NE(text.find(id(chain) + " = select(" + id(addr) + ", 0x2: " +
+                      id(a) + ", 0xb: " + id(b) + ", else " + id(zero) +
+                      ") : 8"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(id(gate) + " = and_bit(" + id(en) + ", " + id(row) +
+                      ", imm=0x81) : 1"),
+            std::string::npos)
+      << text;
+  EXPECT_STREQ(fused_op_name(FusedOp::kSelect), "select");
+  EXPECT_STREQ(fused_op_name(FusedOp::kAndBit), "and_bit");
 }
 
 TEST(Export, DotHasNodesAndEdges) {

@@ -4,13 +4,16 @@
 // kernel bug — this is the strongest single check on the CHDL simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "chdl/builder.hpp"
+#include "chdl/optimize.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/vcd.hpp"
 #include "util/rng.hpp"
@@ -395,11 +398,19 @@ Design wide_row_design(util::Rng& rng) {
   return d;
 }
 
+/// Picks the value an input is poked with this cycle; an empty BitVec
+/// leaves the input as it is.
+using Stimulus = std::function<BitVec(const std::string& name, Wire w)>;
+
 /// Both threaded policies against the full-sweep oracle, over 50
 /// clocked cycles of random pokes: every wire, RAM word and VCD byte
-/// must agree.
+/// must agree. `opt` configures the threaded+opt side's optimizer;
+/// `stim` replaces the default stimulus (each input, half the cycles,
+/// a random value).
 void expect_engines_match(const Design& d, util::Rng& rng,
-                          const std::string& tag) {
+                          const std::string& tag,
+                          const OptimizeOptions& opt = {},
+                          const Stimulus& stim = {}) {
   // The reference is the unoptimized full sweep, which shares no
   // scheduling code with the threaded engine. "thr_raw" covers the
   // region superop compiler and the dirty edge tape alone; "thr_opt"
@@ -414,6 +425,7 @@ void expect_engines_match(const Design& d, util::Rng& rng,
   SimOptions thr_opt_opts;
   thr_opt_opts.mode = EvalMode::kThreaded;
   thr_opt_opts.optimize = true;
+  thr_opt_opts.opt = opt;
   Simulator full(d, ref_opts);
   Simulator thr_raw(d, thr_raw_opts);
   Simulator thr_opt(d, thr_opt_opts);
@@ -431,8 +443,13 @@ void expect_engines_match(const Design& d, util::Rng& rng,
       // Random pokes, identical on all sides; skipping inputs some
       // cycles leaves quiescent islands for the worklist to skip.
       for (const auto& [name, w] : d.inputs()) {
-        if (rng.next_below(2) == 0) continue;
-        const BitVec v = random_bits(rng, w.width);
+        BitVec v;
+        if (stim) {
+          v = stim(name, w);
+        } else if (rng.next_below(2) != 0) {
+          v = random_bits(rng, w.width);
+        }
+        if (v.empty()) continue;
         full.poke(w, v);
         thr_raw.poke(w, v);
         thr_opt.poke(w, v);
@@ -492,6 +509,187 @@ TEST_P(SequentialFuzz, WideRowCountersMatchFullSweep) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SequentialFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---------------------------------------------------------------------------
+// Host-bus idioms: the fuse pass turns priority mux chains over one
+// address into one table select and 1-bit gates over a bit slice into
+// and_bit. The oracle is the unoptimized full sweep, as above.
+
+/// Host read-back shaped logic: priority mux chains over compares of
+/// 1..32-bit address inputs with dense, sparse and duplicate keys,
+/// zero-extended and >64-bit arms, and interior taps that have a second
+/// consumer, are pinned by `keep` or are only ever peeked; plus 1-bit
+/// gates over bit slices of 1-, 64- and 256-bit sources at lo = 0, 63,
+/// 64 and 255, counting like the TRT core's histogram.
+struct SelectFixture {
+  Design d{"selfuzz"};
+  std::map<std::string, std::vector<std::uint64_t>> keys;  // per address
+  std::vector<Wire> taps;  // interior chain wires with a second consumer
+  OptimizeOptions opt;     // keep: the pinned taps
+};
+
+SelectFixture select_design(util::Rng& rng) {
+  SelectFixture f;
+  Design& d = f.d;
+  const auto draw = [&](int lo, int hi) {
+    return lo + static_cast<int>(
+                    rng.next_below(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  const auto pick = [&](const std::vector<Wire>& pool) {
+    return pool[static_cast<std::size_t>(rng.next_below(pool.size()))];
+  };
+  // Values the arms read back, of assorted widths.
+  std::vector<Wire> values;
+  for (int i = 0; i < 4; ++i) {
+    values.push_back(d.input("v" + std::to_string(i), draw(1, 70)));
+  }
+  values.push_back(d.reg("rv", d.input("rv_d", draw(1, 70))));
+  std::vector<Wire> addrs;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "addr" + std::to_string(i);
+    addrs.push_back(d.input(name, draw(1, 32)));
+    f.keys[name];
+  }
+  int tap = 0;
+  for (int chain = 0; chain < 3; ++chain) {
+    const int width = rng.next_below(6) == 0 ? draw(65, 130) : draw(1, 64);
+    const std::size_t ai = rng.next_below(2);
+    const int links = draw(2, 40);
+    const bool dense = rng.next_below(2) == 0;
+    const std::uint64_t first = rng.next_u64();
+    std::vector<std::uint64_t> chain_keys;
+    std::vector<Wire> interior;
+    Wire acc = rng.next_below(2) == 0 ? d.constant(width, 0)
+                                      : d.resize(pick(values), width);
+    for (int k = 0; k < links; ++k) {
+      // Mostly the chain's own address; a link on the other one ends
+      // the select there.
+      const std::size_t a = rng.next_below(32) == 0 ? 1 - ai : ai;
+      const Wire addr = addrs[a];
+      std::uint64_t key;
+      if (!chain_keys.empty() && rng.next_below(5) == 0) {
+        key = chain_keys[static_cast<std::size_t>(
+            rng.next_below(chain_keys.size()))];
+      } else if (dense) {
+        key = first + rng.next_below(static_cast<std::uint64_t>(links));
+      } else {
+        key = rng.next_u64();
+      }
+      key &= (std::uint64_t{1} << addr.width) - 1;
+      chain_keys.push_back(key);
+      f.keys["addr" + std::to_string(a)].push_back(key);
+      const Wire k_wire = d.constant(addr.width, key);
+      const Wire sel =
+          rng.next_below(2) == 0 ? d.eq(addr, k_wire) : d.eq(k_wire, addr);
+      acc = d.mux(sel, d.resize(pick(values), width), acc);
+      if (k + 1 < links) interior.push_back(acc);
+    }
+    d.output("y" + std::to_string(chain), acc);
+    // Up to two interior taps per chain: a second consumer, a keep pin,
+    // or nothing but the every-wire peeks.
+    for (int i = 0; i < 2 && !interior.empty(); ++i) {
+      const Wire t = pick(interior);
+      const std::string name = "tap" + std::to_string(tap++);
+      switch (rng.next_below(4)) {
+        case 0:
+          d.output(name, t);
+          f.taps.push_back(t);
+          break;
+        case 1:
+          d.reg(name, t);
+          f.taps.push_back(t);
+          break;
+        case 2:
+          f.opt.keep.push_back(t);
+          f.taps.push_back(t);
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  // 1-bit gates over bit slices, as the TRT core's LUT-row gates.
+  const Wire en = d.input("en", 1);
+  const Wire one = d.constant(8, 1);
+  int gate = 0;
+  for (const int width : {1, 64, 256}) {
+    const std::string name = "src" + std::to_string(width);
+    const Wire src = rng.next_below(2) == 0
+                         ? d.input(name, width)
+                         : d.reg(name + "_q", d.input(name, width));
+    for (const int lo : {0, 63, 64, 255}) {
+      if (lo >= width) continue;
+      const Wire bit = d.bit(src, lo);
+      const Wire g = rng.next_below(2) == 0 ? d.band(en, bit) : d.band(bit, en);
+      RegOpts opts;
+      opts.enable = g;
+      const Wire q =
+          d.reg_forward("cnt" + std::to_string(gate++), 8, opts);
+      d.reg_connect(q, d.add(q, one));
+      d.output("g" + std::to_string(gate), g);
+    }
+  }
+  return f;
+}
+
+class SelectFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SelectFuzz, SelectAndBitGatesMatchFullSweep) {
+  util::Rng rng(GetParam() * 15485863 + 5);
+  const SelectFixture f = select_design(rng);
+  const Design& d = f.d;
+
+  // Structure: every select is single-word with unique ascending keys,
+  // and no tap with a second consumer or a keep pin was folded away.
+  const OptimizedNetlist opt = optimize(d, f.opt);
+  const auto& comps = d.components();
+  int selects = 0;
+  int and_bits = 0;
+  for (const auto& [idx, fc] : opt.fused) {
+    if (fc.op == FusedOp::kAndBit) ++and_bits;
+    if (fc.op != FusedOp::kSelect) continue;
+    ++selects;
+    EXPECT_LE(comps[static_cast<std::size_t>(idx)].out.width, 64);
+    EXPECT_GE(fc.keys.size(), 1u);
+    EXPECT_EQ(fc.keys.size(), fc.arms.size());
+    EXPECT_TRUE(std::adjacent_find(fc.keys.begin(), fc.keys.end(),
+                                   std::greater_equal<>()) == fc.keys.end());
+  }
+  for (const Wire t : f.taps) {
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+      if (comps[i].kind == CompKind::kMux && comps[i].out.id == t.id) {
+        EXPECT_TRUE(opt.comp_alive[i]) << "tap " << t.id;
+      }
+    }
+  }
+  EXPECT_GE(and_bits, 4);  // the 64- and 256-bit sources' gates
+
+  // Stimulus: addresses hit a key, a key's neighbour or a random value.
+  const Stimulus stim = [&](const std::string& name, Wire w) {
+    const auto it = f.keys.find(name);
+    if (it == f.keys.end() || it->second.empty()) {
+      return rng.next_below(2) != 0 ? random_bits(rng, w.width) : BitVec{};
+    }
+    const std::vector<std::uint64_t>& keys = it->second;
+    std::uint64_t a =
+        keys[static_cast<std::size_t>(rng.next_below(keys.size()))];
+    switch (rng.next_below(4)) {
+      case 0: ++a; break;
+      case 1: --a; break;
+      case 2: a = rng.next_u64(); break;
+      default: break;
+    }
+    return BitVec(w.width, a);
+  };
+  SCOPED_TRACE(::testing::Message()
+               << selects << " selects, " << and_bits << " and_bits");
+  expect_engines_match(d, rng, "sel" + std::to_string(GetParam()), f.opt,
+                       stim);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SelectFuzz,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                           10u, 11u, 12u));
 
 // Regression: registers whose enable is low (or whose reset re-asserts
 // the value they already hold) must not wake the combinational cone

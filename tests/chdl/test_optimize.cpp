@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "chdl/builder.hpp"
 #include "chdl/design.hpp"
 #include "chdl/export.hpp"
+#include "chdl/hostif.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/verify.hpp"
 
@@ -205,6 +208,127 @@ TEST(Optimize, ForwardsSliceOfConcat) {
   sim.poke("lo", 0xCD);
   EXPECT_EQ(sim.peek_u64("a"), 0xCDu);
   EXPECT_EQ(sim.peek_u64("b"), (0xABu >> 2) & 0xFu);
+}
+
+/// Component index driving a wire (-1: none).
+std::int32_t producer_of(const Design& d, Wire w) {
+  for (std::size_t i = 0; i < d.components().size(); ++i) {
+    const Component& c = d.components()[i];
+    if (c.kind != CompKind::kOutput && c.out.valid() && c.out.id == w.id) {
+      return static_cast<std::int32_t>(i);
+    }
+  }
+  return -1;
+}
+
+/// The fused record of the component driving `w` (op kNone if unfused).
+FusedComp fused_at(const Design& d, const OptimizedNetlist& opt, Wire w) {
+  const auto it = opt.fused.find(producer_of(d, w));
+  return it == opt.fused.end() ? FusedComp{} : it->second;
+}
+
+// HostRegFile's read-back is one mux per mapped address over compares
+// of host_addr; the fuse pass collapses the whole chain into one select
+// op, the only tape op left driving a mux output.
+TEST(Optimize, HostReadBackChainCompilesToOneSelect) {
+  for (const int n : {2, 7, 40}) {
+    SCOPED_TRACE(n);
+    Design d("hrf");
+    HostRegFile hrf(d, /*addr_bits=*/8, /*data_bits=*/32);
+    std::vector<Wire> regs;
+    for (int k = 0; k < n; ++k) {
+      // Widths 1..32: narrow registers read back zero-extended.
+      regs.push_back(hrf.write_reg("r" + std::to_string(k),
+                                   0x10 + static_cast<std::uint32_t>(k),
+                                   1 + k % 32));
+    }
+    hrf.finish();
+    const Wire rdata = d.port("host_rdata");
+
+    const OptimizedNetlist opt = optimize(d);
+    const FusedComp sel = fused_at(d, opt, rdata);
+    ASSERT_EQ(sel.op, FusedOp::kSelect);
+    EXPECT_EQ(sel.in0.id, hrf.addr().id);
+    ASSERT_EQ(sel.keys.size(), static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      const auto ks = static_cast<std::size_t>(k);
+      EXPECT_EQ(sel.keys[ks], 0x10u + static_cast<std::uint64_t>(k));
+      // A zero-extension arm {0, x} is read as x itself.
+      EXPECT_EQ(sel.arms[ks].id, regs[ks].id);
+    }
+
+    Simulator sim(d);
+    const RegionGraph g = sim.region_graph();
+    int mux_ops = 0;
+    for (std::int32_t t = 0; t < g.op_count(); ++t) {
+      const std::int32_t c = producer_of(
+          d, Wire{g.out_wire[static_cast<std::size_t>(t)], 1});
+      if (d.components()[static_cast<std::size_t>(c)].kind != CompKind::kMux) {
+        continue;
+      }
+      ++mux_ops;
+      EXPECT_EQ(g.out_wire[static_cast<std::size_t>(t)], rdata.id);
+      // Reads the address, the default and one word per register.
+      EXPECT_EQ(g.in_begin[static_cast<std::size_t>(t) + 1] -
+                    g.in_begin[static_cast<std::size_t>(t)],
+                n + 2);
+    }
+    EXPECT_EQ(mux_ops, 1);
+
+    HostInterface host(sim);
+    for (int k = 0; k < n; ++k) {
+      host.write(0x10 + static_cast<std::uint32_t>(k),
+                 0xDEADBEEFu + static_cast<std::uint64_t>(k));
+    }
+    for (int k = 0; k < n; ++k) {
+      const int width = 1 + k % 32;
+      const std::uint64_t mask =
+          width == 64 ? ~0ull : (std::uint64_t{1} << width) - 1;
+      EXPECT_EQ(host.read(0x10 + static_cast<std::uint32_t>(k)),
+                (0xDEADBEEFu + static_cast<std::uint64_t>(k)) & mask);
+    }
+    EXPECT_EQ(host.read(0x0F), 0u);  // unmapped: the chain's base
+    EXPECT_EQ(host.read(0xFF), 0u);
+  }
+}
+
+// A link is followed only through an else wire the next mux alone
+// reads: an interior tap with a second consumer ends the chain there,
+// and the tap's own chain becomes a select of its own.
+TEST(Optimize, SelectChainStopsAtSharedTap) {
+  Design d("tap");
+  const Wire addr = d.input("addr", 4);
+  const Wire base = d.input("base", 8);
+  Wire chain = base;
+  Wire tap{};
+  for (int k = 0; k < 6; ++k) {
+    chain = d.mux(eq_const(d, addr, static_cast<std::uint64_t>(k)),
+                  d.input("v" + std::to_string(k), 8), chain);
+    if (k == 2) tap = chain;
+  }
+  d.output("y", chain);
+  d.output("t", tap);  // the tap's second consumer
+
+  const OptimizedNetlist opt = optimize(d);
+  const FusedComp outer = fused_at(d, opt, chain);
+  ASSERT_EQ(outer.op, FusedOp::kSelect);
+  EXPECT_EQ(outer.keys, (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(outer.in1.id, tap.id);
+  const FusedComp inner = fused_at(d, opt, tap);
+  ASSERT_EQ(inner.op, FusedOp::kSelect);
+  EXPECT_EQ(inner.keys, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(inner.in1.id, base.id);
+
+  Simulator sim(d);
+  sim.poke("base", 0xEE);
+  for (int k = 0; k < 6; ++k) {
+    sim.poke("v" + std::to_string(k), static_cast<std::uint64_t>(0xA0 + k));
+  }
+  for (std::uint64_t a = 0; a < 16; ++a) {
+    sim.poke("addr", a);
+    EXPECT_EQ(sim.peek_u64("y"), a < 6 ? 0xA0 + a : 0xEEu) << a;
+    EXPECT_EQ(sim.peek_u64("t"), a < 3 ? 0xA0 + a : 0xEEu) << a;
+  }
 }
 
 TEST(Optimize, ReportCountsOpsPerPass) {

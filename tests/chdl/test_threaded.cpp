@@ -14,6 +14,7 @@
 
 #include "chdl/builder.hpp"
 #include "chdl/hostif.hpp"
+#include "chdl/optimize.hpp"
 #include "chdl/region.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/verify.hpp"
@@ -180,10 +181,12 @@ std::vector<std::int32_t> op_of_wire(const Design& d, const RegionGraph& g) {
 }
 
 // Sibling groups: the 256 per-pattern {bit select, AND valid} gates all
-// read exactly {LUT row, valid_d1}, so they are always dirtied together
-// and execute as one block.
+// read exactly {LUT row, valid_d1}; each fuses to one and_bit that reads
+// its bit straight out of the row, and they are always dirtied together,
+// so the 256 ops execute as one block.
 TEST(Region, TrtLutRowGatesFormOneRegion) {
   const Design d = trt_core_fixture();
+  const OptimizedNetlist opt = optimize(d);
   Simulator sim(d, SimOptions{.mode = EvalMode::kThreaded});
   const RegionGraph g = sim.region_graph();
   const RegionPlan* plan = sim.region_plan();
@@ -195,93 +198,128 @@ TEST(Region, TrtLutRowGatesFormOneRegion) {
     if (c.kind == CompKind::kRamRead) row = c.out;  // the LUT ROM port
   }
   ASSERT_TRUE(row.valid());
-  std::vector<std::int32_t> selects;  // slice of the row -> AND gate
-  std::set<std::int32_t> gate_wires;
+  std::set<std::int32_t> selects;  // 1-bit slices of the row
   for (const Component& c : comps) {
     if (c.kind == CompKind::kSlice && c.in[0].id == row.id) {
-      selects.push_back(c.out.id);
+      selects.insert(c.out.id);
     }
   }
-  for (const Component& c : comps) {
-    if (c.kind != CompKind::kAnd) continue;
-    for (const std::int32_t s : selects) {
-      if (c.in[1].id == s) gate_wires.insert(c.out.id);
-    }
+  std::set<std::int32_t> regions;
+  int gates = 0;
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    const Component& c = comps[i];
+    if (c.kind != CompKind::kAnd || selects.count(c.in[1].id) == 0) continue;
+    ++gates;
+    const auto it = opt.fused.find(static_cast<std::int32_t>(i));
+    ASSERT_NE(it, opt.fused.end());
+    EXPECT_EQ(it->second.op, FusedOp::kAndBit);
+    EXPECT_EQ(it->second.in1.id, row.id);
+    const std::int32_t t = op[static_cast<std::size_t>(c.out.id)];
+    ASSERT_GE(t, 0);
+    regions.insert(plan->op_region[static_cast<std::size_t>(t)]);
   }
   ASSERT_EQ(selects.size(), 256u);
-  ASSERT_EQ(gate_wires.size(), 256u);
-  std::set<std::int32_t> regions;
+  EXPECT_EQ(gates, 256);
+  // The bit selects run inside the gates: none is left on the tape.
   for (const std::int32_t w : selects) {
-    ASSERT_GE(op[static_cast<std::size_t>(w)], 0);
-    regions.insert(plan->op_region[static_cast<std::size_t>(
-        op[static_cast<std::size_t>(w)])]);
+    EXPECT_LT(op[static_cast<std::size_t>(w)], 0);
   }
-  for (const std::int32_t w : gate_wires) {
-    ASSERT_GE(op[static_cast<std::size_t>(w)], 0);
-    regions.insert(plan->op_region[static_cast<std::size_t>(
-        op[static_cast<std::size_t>(w)])]);
-  }
-  EXPECT_EQ(regions.size(), 1u);
+  ASSERT_EQ(regions.size(), 1u);
+  const Region& block = plan->regions[static_cast<std::size_t>(*regions.begin())];
+  EXPECT_EQ(block.ops_end - block.ops_begin, 256);
 }
 
-// Cones: HostRegFile's read-back mux chain (one mux per mapped address)
-// packs into nearly full regions instead of one region per mux.
-TEST(Region, TrtReadMuxChainPacksIntoFullRegions) {
+// HostRegFile's read-back mux chain (one mux per mapped address) is one
+// table select reading all 262 mapped values, alone in its region: it
+// absorbs none of the cones feeding it, so a change of one read-back
+// value re-runs the select only.
+TEST(Region, TrtReadBackIsOneSelectInItsOwnRegion) {
   const Design d = trt_core_fixture();
-  const SimOptions so{.mode = EvalMode::kThreaded};
-  Simulator sim(d, so);
-  const RegionGraph g = sim.region_graph();
-  const RegionPlan* plan = sim.region_plan();
-  ASSERT_NE(plan, nullptr);
-  const std::vector<std::int32_t> op = op_of_wire(d, g);
   const auto& comps = d.components();
   std::vector<std::int32_t> producer(static_cast<std::size_t>(d.wire_count()),
                                      -1);
   for (std::size_t i = 0; i < comps.size(); ++i) {
-    if (comps[i].out.valid()) {
+    if (comps[i].kind != CompKind::kOutput && comps[i].out.valid()) {
       producer[static_cast<std::size_t>(comps[i].out.id)] =
           static_cast<std::int32_t>(i);
     }
   }
-  // Walk host_rdata's mux chain through the else inputs.
-  std::vector<std::int32_t> chain;  // tape ops of the chain's muxes
+  const Wire rdata = d.port("host_rdata");
+  const std::int32_t head = producer[static_cast<std::size_t>(rdata.id)];
+  ASSERT_GE(head, 0);
+  ASSERT_EQ(comps[static_cast<std::size_t>(head)].kind, CompKind::kMux);
+  const OptimizedNetlist opt = optimize(d);
+  const auto it = opt.fused.find(head);
+  ASSERT_NE(it, opt.fused.end());
+  EXPECT_EQ(it->second.op, FusedOp::kSelect);
+  EXPECT_EQ(it->second.keys.size(), 262u);
+  EXPECT_EQ(it->second.arms.size(), 262u);
+
+  Simulator sim(d, SimOptions{.mode = EvalMode::kThreaded});
+  const RegionGraph g = sim.region_graph();
+  const RegionPlan* plan = sim.region_plan();
+  ASSERT_NE(plan, nullptr);
+  const std::vector<std::int32_t> op = op_of_wire(d, g);
+  const std::int32_t t = op[static_cast<std::size_t>(rdata.id)];
+  ASSERT_GE(t, 0);
+  EXPECT_EQ(g.in_begin[static_cast<std::size_t>(t) + 1] -
+                g.in_begin[static_cast<std::size_t>(t)],
+            264);  // address, default, 262 arms
+  const Region& region = plan->regions[static_cast<std::size_t>(
+      plan->op_region[static_cast<std::size_t>(t)])];
+  EXPECT_EQ(region.ops_end - region.ops_begin, 1);
+  // The chain's other muxes are off the tape (evaluated only if peeked).
+  int interior = 0;
   for (std::int32_t c = producer[static_cast<std::size_t>(
-           d.port("host_rdata").id)];
+           comps[static_cast<std::size_t>(head)].in[2].id)];
        c >= 0 && comps[static_cast<std::size_t>(c)].kind == CompKind::kMux;
        c = producer[static_cast<std::size_t>(
            comps[static_cast<std::size_t>(c)].in[2].id)]) {
-    const std::int32_t t =
-        op[static_cast<std::size_t>(comps[static_cast<std::size_t>(c)].out.id)];
-    if (t >= 0) chain.push_back(t);
+    ++interior;
+    EXPECT_LT(op[static_cast<std::size_t>(
+                  comps[static_cast<std::size_t>(c)].out.id)],
+              0);
   }
-  ASSERT_GT(chain.size(), 256u);
-  // The chain's ops: each mux plus the select / data operand ops only
-  // it consumes (CSE-shared selects such as write strobes excluded).
-  std::vector<int> consumers(static_cast<std::size_t>(d.wire_count()), 0);
-  for (const std::int32_t w : g.in_wires) {
-    ++consumers[static_cast<std::size_t>(w)];
+  EXPECT_EQ(interior, 261);
+}
+
+// The cone rule on a plain graph: an op reading more than three wires
+// absorbs none of its single-consumer producers, an op reading three
+// absorbs them all.
+TEST(Region, WideReaderAbsorbsNoProducerCones) {
+  // Wires 0..6 are graph inputs. Ops 0..3 map inputs 0..3 to wires
+  // 7..10, op 4 reads all four; ops 5..7 map inputs 4..6 to wires
+  // 11..13, op 8 reads those three.
+  RegionGraph g;
+  g.wire_count = 16;
+  g.in_begin = {0};
+  const auto add_op = [&g](std::vector<std::int32_t> ins, std::int32_t out) {
+    g.in_wires.insert(g.in_wires.end(), ins.begin(), ins.end());
+    g.in_begin.push_back(static_cast<std::int32_t>(g.in_wires.size()));
+    g.out_wire.push_back(out);
+  };
+  for (std::int32_t k = 0; k < 4; ++k) add_op({k}, 7 + k);
+  add_op({7, 8, 9, 10}, 14);
+  for (std::int32_t k = 0; k < 3; ++k) add_op({4 + k}, 11 + k);
+  add_op({11, 12, 13}, 15);
+  g.wire_seq_consumed.assign(16, 0);
+  g.wire_seq_consumed[14] = 1;
+  g.wire_seq_consumed[15] = 1;
+
+  const RegionPlan plan = build_region_plan(g);
+  const auto region_of = [&](std::int32_t t) {
+    return plan.op_region[static_cast<std::size_t>(t)];
+  };
+  const Region& wide = plan.regions[static_cast<std::size_t>(region_of(4))];
+  EXPECT_EQ(wide.ops_end - wide.ops_begin, 1);
+  for (std::int32_t k = 0; k < 4; ++k) {
+    EXPECT_NE(region_of(k), region_of(4));
+    EXPECT_LT(plan.regions[static_cast<std::size_t>(region_of(k))].level,
+              wide.level);
   }
-  const std::set<std::int32_t> muxes(chain.begin(), chain.end());
-  std::size_t chain_ops = chain.size();
-  for (const std::int32_t t : chain) {
-    for (std::int32_t i = g.in_begin[static_cast<std::size_t>(t)];
-         i < g.in_begin[static_cast<std::size_t>(t) + 1]; ++i) {
-      const std::int32_t w = g.in_wires[static_cast<std::size_t>(i)];
-      const std::int32_t p = op[static_cast<std::size_t>(w)];
-      if (p >= 0 && muxes.count(p) == 0 &&
-          consumers[static_cast<std::size_t>(w)] == 1) {
-        ++chain_ops;
-      }
-    }
-  }
-  std::set<std::int32_t> regions;
-  for (const std::int32_t t : chain) {
-    regions.insert(plan->op_region[static_cast<std::size_t>(t)]);
-  }
-  const std::size_t cap =
-      static_cast<std::size_t>(so.region.max_region_ops);
-  EXPECT_LE(regions.size(), (chain_ops + cap - 1) / cap + 1)
-      << chain.size() << " muxes, " << chain_ops << " chain ops";
+  const Region& narrow = plan.regions[static_cast<std::size_t>(region_of(8))];
+  EXPECT_EQ(narrow.ops_end - narrow.ops_begin, 4);
+  for (std::int32_t k = 5; k < 8; ++k) EXPECT_EQ(region_of(k), region_of(8));
 }
 
 TEST(Region, MaxRegionOpsCapsChains) {
