@@ -6,20 +6,31 @@
 namespace atlantis::sim {
 namespace {
 
-// CRC-32 table for the reflected IEEE polynomial 0xEDB88320, built once.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320,
+// built once. table[0] is the classic bytewise table; table[k][i] is the
+// CRC of byte i followed by k zero bytes, so eight bytes fold in with
+// eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = t[k - 1][i];
+        t[k][i] = t[0][prev & 0xFFu] ^ (prev >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 void store_le(std::uint8_t* out, std::uint64_t v, int bytes) {
@@ -39,10 +50,15 @@ std::uint64_t load_le(const std::uint8_t* in, int bytes) {
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  const auto& table = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    c = t[7][(c ^ data[0]) & 0xFFu] ^ t[6][((c >> 8) ^ data[1]) & 0xFFu] ^
+        t[5][((c >> 16) ^ data[2]) & 0xFFu] ^ t[4][(c >> 24) ^ data[3]] ^
+        t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+  }
+  for (; len > 0; ++data, --len) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

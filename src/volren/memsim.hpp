@@ -19,6 +19,7 @@ namespace atlantis::volren {
 
 class VoxelMemory {
  public:
+  /// Throws util::Error unless cfg.row_bytes is a power of two.
   VoxelMemory(const Volume& vol, hw::SdramConfig cfg = {});
 
   /// Accounts one trilinear sample at a continuous position; returns the
@@ -43,7 +44,7 @@ class VoxelMemory {
  private:
   hw::SdramConfig cfg_;
   int half_nx_, half_ny_;
-  std::int64_t rows_per_bank_words_;  // voxels per row
+  int row_shift_;  // log2 of the row size in voxels
   std::int64_t open_row_[8];
   std::uint64_t cycles_ = 0;
   std::uint64_t samples_ = 0;

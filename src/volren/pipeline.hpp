@@ -40,7 +40,8 @@ struct PipelineResult {
 };
 
 /// Runs the schedule for the given per-ray sample counts (from
-/// RenderStats::samples_per_ray).
+/// RenderStats::samples_per_ray). Host cost: O(1) amortized per issued
+/// sample when contexts >= depth, O(contexts) per stall.
 PipelineResult simulate_pipeline(const std::vector<std::uint32_t>& samples_per_ray,
                                  const PipelineParams& params);
 

@@ -67,13 +67,16 @@ FrameReport FpgaVolumeRenderer::render_frame(const TransferFunction& tf,
     const auto memory_ps = static_cast<util::Picoseconds>(std::llround(
         static_cast<double>(rep.memory_cycles) / cfg_.memory_reuse *
         1e6 / cfg_.memory_clock_mhz));
-    const sim::Transaction& logic =
+    // post() invalidates the reference it returned before, so keep the
+    // logic transaction's end, not the reference.
+    const util::Picoseconds logic_end =
         timeline_->post(track_, sim::TxnKind::kCompute, "pipeline " + tag,
-                        pipeline_resource_, cursor_, logic_ps);
+                        pipeline_resource_, cursor_, logic_ps)
+            .end;
     const sim::Transaction& memory = timeline_->post(
         track_, sim::TxnKind::kSdramBurst, "voxels " + tag, memory_resource_,
         cursor_, memory_ps, rep.memory_cycles * 8);
-    cursor_ = std::max(logic.end, memory.end);
+    cursor_ = std::max(logic_end, memory.end);
   }
   return rep;
 }

@@ -1,6 +1,7 @@
 #include "volren/volume.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace atlantis::volren {
@@ -34,15 +35,27 @@ double Volume::sample(double x, double y, double z) const {
   const double fy = y - y0;
   const double fz = z - z0;
   // The eight corner fetches — exactly the 8-bank parallel read of the
-  // SDRAM module.
-  const double c000 = clamped(x0, y0, z0);
-  const double c100 = clamped(x0 + 1, y0, z0);
-  const double c010 = clamped(x0, y0 + 1, z0);
-  const double c110 = clamped(x0 + 1, y0 + 1, z0);
-  const double c001 = clamped(x0, y0, z0 + 1);
-  const double c101 = clamped(x0 + 1, y0, z0 + 1);
-  const double c011 = clamped(x0, y0 + 1, z0 + 1);
-  const double c111 = clamped(x0 + 1, y0 + 1, z0 + 1);
+  // SDRAM module. Inside the grid they are one base pointer plus
+  // strides; only a neighbourhood that crosses a face clamps.
+  // Corner index bit 0 is +x, bit 1 +y, bit 2 +z.
+  const std::array<std::uint8_t, 8> c = [&]() -> std::array<std::uint8_t, 8> {
+    if (x0 >= 0 && x0 < nx_ - 1 && y0 >= 0 && y0 < ny_ - 1 && z0 >= 0 &&
+        z0 < nz_ - 1) {
+      const std::size_t sy = static_cast<std::size_t>(nx_);
+      const std::size_t sz = sy * static_cast<std::size_t>(ny_);
+      const std::uint8_t* p =
+          data_.data() + static_cast<std::size_t>(z0) * sz +
+          static_cast<std::size_t>(y0) * sy + static_cast<std::size_t>(x0);
+      return {p[0],  p[1],      p[sy],      p[sy + 1],
+              p[sz], p[sz + 1], p[sz + sy], p[sz + sy + 1]};
+    }
+    return {clamped(x0, y0, z0),         clamped(x0 + 1, y0, z0),
+            clamped(x0, y0 + 1, z0),     clamped(x0 + 1, y0 + 1, z0),
+            clamped(x0, y0, z0 + 1),     clamped(x0 + 1, y0, z0 + 1),
+            clamped(x0, y0 + 1, z0 + 1), clamped(x0 + 1, y0 + 1, z0 + 1)};
+  }();
+  const double c000 = c[0], c100 = c[1], c010 = c[2], c110 = c[3];
+  const double c001 = c[4], c101 = c[5], c011 = c[6], c111 = c[7];
   const double c00 = c000 + (c100 - c000) * fx;
   const double c10 = c010 + (c110 - c010) * fx;
   const double c01 = c001 + (c101 - c001) * fx;

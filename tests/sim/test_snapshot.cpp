@@ -3,6 +3,8 @@
 #include "sim/snapshot.hpp"
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -174,6 +176,60 @@ TEST(SnapshotStream, WordCountOverflowIsRejected) {
   SnapshotReader reader = std::move(r.value());
   reader.select("lying");
   EXPECT_THROW(reader.get_words(), util::Error);
+}
+
+// --- CRC ---------------------------------------------------------------
+
+// One bit at a time, straight from the reflected polynomial.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(8 + 300);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                bitwise_crc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(SnapshotCrc, CommittedWarmStartSnapshotsVerify) {
+  for (const char* name : {"warm_m1.snap", "warm_s1.snap"}) {
+    const std::string path = std::string(ATLANTIS_BENCH_DATA_DIR) + "/" + name;
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 12u) << path;
+    auto r = SnapshotReader::open(std::move(bytes));
+    ASSERT_TRUE(r.ok()) << path << ": " << r.message();
+    EXPECT_FALSE(r.value().section_tags().empty()) << path;
+  }
 }
 
 // --- Timeline ----------------------------------------------------------

@@ -35,8 +35,8 @@ TEST(Timeline, ContentionQueuesFifo) {
   const ResourceId bus = tl.add_resource("bus");
   const TrackId t0 = tl.add_track("board0");
   const TrackId t1 = tl.add_track("board1");
-  const Transaction& a = tl.post(t0, TxnKind::kPciDma, "a", bus, 0, 100);
-  const Transaction& b = tl.post(t1, TxnKind::kPciDma, "b", bus, 0, 100);
+  const Transaction a = tl.post(t0, TxnKind::kPciDma, "a", bus, 0, 100);
+  const Transaction b = tl.post(t1, TxnKind::kPciDma, "b", bus, 0, 100);
   EXPECT_EQ(a.start, 0);
   EXPECT_EQ(b.start, 100);  // second requester waits for the segment
   EXPECT_EQ(b.queue_delay(), 100);
@@ -51,9 +51,9 @@ TEST(Timeline, MultiChannelResourceServesConcurrently) {
   Timeline tl;
   const ResourceId banks = tl.add_resource("sdram", 2);
   const TrackId t = tl.add_track("actor");
-  const Transaction& a = tl.post(t, TxnKind::kSdramBurst, "a", banks, 0, 100);
-  const Transaction& b = tl.post(t, TxnKind::kSdramBurst, "b", banks, 0, 100);
-  const Transaction& c = tl.post(t, TxnKind::kSdramBurst, "c", banks, 0, 100);
+  const Transaction a = tl.post(t, TxnKind::kSdramBurst, "a", banks, 0, 100);
+  const Transaction b = tl.post(t, TxnKind::kSdramBurst, "b", banks, 0, 100);
+  const Transaction c = tl.post(t, TxnKind::kSdramBurst, "c", banks, 0, 100);
   EXPECT_EQ(a.start, 0);
   EXPECT_EQ(b.start, 0);    // second bank
   EXPECT_EQ(c.start, 100);  // both banks busy; earliest-free grant
@@ -77,8 +77,8 @@ TEST(Timeline, OverlapJoinsAtMaxNotSum) {
   const ResourceId bus = tl.add_resource("bus");
   const ResourceId design = tl.add_resource("design");
   const TrackId t = tl.add_track("driver");
-  const Transaction& dma = tl.post(t, TxnKind::kPciDma, "in", bus, 0, 80);
-  const Transaction& scan =
+  const Transaction dma = tl.post(t, TxnKind::kPciDma, "in", bus, 0, 80);
+  const Transaction scan =
       tl.post(t, TxnKind::kCompute, "scan", design, 0, 100);
   const util::Picoseconds join = std::max(dma.end, scan.end);
   EXPECT_EQ(join, 100);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
+
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace atlantis::volren {
 namespace {
@@ -79,6 +85,108 @@ TEST(VoxelMemory, CostBoundedByWorstBankPenalty) {
     EXPECT_GE(c, 1u);
     EXPECT_LE(c, worst);
   }
+}
+
+// The SDRAM model written out plainly, with a division per corner and
+// per-axis clamps: the oracle for VoxelMemory's row shift.
+class ReferenceVoxelMemory {
+ public:
+  ReferenceVoxelMemory(const Volume& v, hw::SdramConfig cfg)
+      : cfg_(cfg), n_{v.nx(), v.ny(), v.nz()} {}
+
+  std::uint64_t sample_access(double x, double y, double z) {
+    const double p[3] = {x, y, z};
+    int base[3];
+    for (int a = 0; a < 3; ++a) {
+      base[a] = std::clamp(static_cast<int>(std::floor(p[a])), 0,
+                           std::max(n_[a] - 2, 0));
+    }
+    std::uint64_t worst = 1;
+    for (int corner = 0; corner < 8; ++corner) {
+      int c[3];
+      for (int a = 0; a < 3; ++a) {
+        c[a] = std::min(base[a] + ((corner >> a) & 1), n_[a] - 1);
+      }
+      const int bank = (c[0] & 1) | ((c[1] & 1) << 1) | ((c[2] & 1) << 2);
+      const std::int64_t addr =
+          (static_cast<std::int64_t>(c[2] / 2) * ((n_[1] + 1) / 2) +
+           c[1] / 2) *
+              ((n_[0] + 1) / 2) +
+          c[0] / 2;
+      const std::int64_t row = addr / cfg_.row_bytes;
+      if (open_row_[bank] == row) {
+        ++hits_;
+      } else {
+        worst = std::max<std::uint64_t>(
+            worst, static_cast<std::uint64_t>(
+                       (open_row_[bank] >= 0 ? cfg_.t_rp : 0) + cfg_.t_rcd +
+                       cfg_.t_cas + 1));
+        open_row_[bank] = row;
+      }
+    }
+    cycles_ += worst;
+    return worst;
+  }
+
+  std::uint64_t cycles_ = 0;
+  std::uint64_t hits_ = 0;
+
+ private:
+  hw::SdramConfig cfg_;
+  int n_[3];
+  std::int64_t open_row_[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
+};
+
+TEST(VoxelMemory, AccountingMatchesPerCornerDivision) {
+  for (const std::int64_t row_bytes : {2048, 64, 8, 1}) {
+    for (const auto& dims : std::vector<std::array<int, 3>>{
+             {64, 48, 40}, {33, 17, 9}, {1, 8, 8}, {9, 1, 1}}) {
+      const Volume v(dims[0], dims[1], dims[2]);
+      hw::SdramConfig cfg;
+      cfg.row_bytes = row_bytes;
+      VoxelMemory mem(v, cfg);
+      ReferenceVoxelMemory ref(v, cfg);
+      util::Rng rng(static_cast<std::uint64_t>(row_bytes) + dims[0]);
+      for (int i = 0; i < 3000; ++i) {
+        const double x = rng.uniform(-2.0, dims[0] + 1.0);
+        const double y = rng.uniform(-2.0, dims[1] + 1.0);
+        const double z = rng.uniform(-2.0, dims[2] + 1.0);
+        ASSERT_EQ(mem.sample_access(x, y, z), ref.sample_access(x, y, z))
+            << "row " << row_bytes << ", sample " << i;
+      }
+      EXPECT_EQ(mem.total_cycles(), ref.cycles_);
+      EXPECT_EQ(mem.hit_rate(), static_cast<double>(ref.hits_) / (3000 * 8));
+    }
+  }
+}
+
+TEST(VoxelMemory, RowSizeMustBeAPowerOfTwo) {
+  const Volume v(8, 8, 8);
+  for (const std::int64_t row_bytes : {1000, 96, 0, -2048}) {
+    hw::SdramConfig cfg;
+    cfg.row_bytes = row_bytes;
+    EXPECT_THROW(VoxelMemory(v, cfg), util::Error) << row_bytes;
+  }
+}
+
+TEST(VoxelMemory, OneVoxelThickVolume) {
+  // A one-voxel-thick axis clamps both corners to voxel 0, as
+  // Volume::clamped does: each +1 corner reads the bank and row its base
+  // corner just opened, so half the first sample's accesses hit.
+  hw::SdramConfig cfg;
+  const std::uint64_t cold =
+      static_cast<std::uint64_t>(cfg.t_rcd + cfg.t_cas) + 1;
+  const Volume slab(1, 8, 8);
+  VoxelMemory mem(slab, cfg);
+  EXPECT_EQ(mem.sample_access(0, 3.5, 3.5), cold);
+  EXPECT_DOUBLE_EQ(mem.hit_rate(), 0.5);
+  EXPECT_EQ(mem.sample_access(0.7, 3.5, 3.5), 1u);  // rows stay open
+  EXPECT_EQ(mem.total_samples(), 2u);
+
+  const Volume voxel(1, 1, 1);
+  VoxelMemory one(voxel, cfg);
+  EXPECT_EQ(one.sample_access(-2.0, 0.5, 9.0), cold);
+  EXPECT_DOUBLE_EQ(one.hit_rate(), 7.0 / 8.0);
 }
 
 }  // namespace

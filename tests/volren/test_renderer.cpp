@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/timeline.hpp"
+
 namespace atlantis::volren {
 namespace {
 
@@ -29,6 +34,26 @@ TEST(Renderer, ReportIsInternallyConsistent) {
   EXPECT_GT(rep.fps_tech, 0.0);
   EXPECT_NEAR(rep.sample_fraction,
               rep.stats.sample_fraction(test_volume().voxel_count()), 1e-12);
+}
+
+TEST(Renderer, BoundFramesChainOnTheTimeline) {
+  // Each frame posts a logic and an SDRAM transaction at the previous
+  // frame's end; the next frame starts when the slower one finishes.
+  sim::Timeline tl;
+  FpgaVolumeRenderer r(test_volume(), small_config());
+  r.bind(tl);
+  util::Picoseconds frame_start = 0;
+  for (int frame = 0; frame < 3; ++frame) {
+    r.render_frame(tf_opaque(), ViewDirection::kFrontal);
+    const std::vector<sim::Transaction>& txns = tl.transactions();
+    ASSERT_EQ(txns.size(), static_cast<std::size_t>(2 * frame + 2));
+    const sim::Transaction& logic = txns[txns.size() - 2];
+    const sim::Transaction& memory = txns.back();
+    EXPECT_EQ(logic.start, frame_start);
+    EXPECT_EQ(memory.start, frame_start);
+    frame_start = std::max(logic.end, memory.end);
+  }
+  EXPECT_EQ(tl.horizon(), frame_start);
 }
 
 TEST(Renderer, PipelineEfficiencyInPaperRange) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace atlantis::volren {
@@ -81,6 +85,88 @@ TEST(Volume, GradientPointsUphill) {
   EXPECT_NEAR(g.x, 40.0, 1e-9);
   EXPECT_NEAR(g.y, 0.0, 1e-9);
   EXPECT_NEAR(g.z, 0.0, 1e-9);
+}
+
+// Trilinear sampling as eight clamped() fetches and today's arithmetic:
+// the oracle for Volume::sample's interior fast path.
+double reference_sample(const Volume& v, double x, double y, double z) {
+  const int x0 = static_cast<int>(std::floor(x));
+  const int y0 = static_cast<int>(std::floor(y));
+  const int z0 = static_cast<int>(std::floor(z));
+  const double fx = x - x0;
+  const double fy = y - y0;
+  const double fz = z - z0;
+  const double c000 = v.clamped(x0, y0, z0);
+  const double c100 = v.clamped(x0 + 1, y0, z0);
+  const double c010 = v.clamped(x0, y0 + 1, z0);
+  const double c110 = v.clamped(x0 + 1, y0 + 1, z0);
+  const double c001 = v.clamped(x0, y0, z0 + 1);
+  const double c101 = v.clamped(x0 + 1, y0, z0 + 1);
+  const double c011 = v.clamped(x0, y0 + 1, z0 + 1);
+  const double c111 = v.clamped(x0 + 1, y0 + 1, z0 + 1);
+  const double c00 = c000 + (c100 - c000) * fx;
+  const double c10 = c010 + (c110 - c010) * fx;
+  const double c01 = c001 + (c101 - c001) * fx;
+  const double c11 = c011 + (c111 - c011) * fx;
+  const double c0 = c00 + (c10 - c00) * fy;
+  const double c1 = c01 + (c11 - c01) * fy;
+  return c0 + (c1 - c0) * fz;
+}
+
+Volume random_volume(int nx, int ny, int nz, std::uint64_t seed) {
+  Volume v(nx, ny, nz);
+  util::Rng rng(seed);
+  for (auto& b : v.data()) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return v;
+}
+
+// Exact equality on doubles, for sample() and all three gradient terms.
+void expect_bit_identical(const Volume& v, double x, double y, double z) {
+  EXPECT_EQ(v.sample(x, y, z), reference_sample(v, x, y, z))
+      << "(" << x << ", " << y << ", " << z << ") in " << v.nx() << "x"
+      << v.ny() << "x" << v.nz();
+  const Vec3 g = v.gradient(x, y, z);
+  EXPECT_EQ(g.x, (reference_sample(v, x + 1, y, z) -
+                  reference_sample(v, x - 1, y, z)) *
+                     0.5);
+  EXPECT_EQ(g.y, (reference_sample(v, x, y + 1, z) -
+                  reference_sample(v, x, y - 1, z)) *
+                     0.5);
+  EXPECT_EQ(g.z, (reference_sample(v, x, y, z + 1) -
+                  reference_sample(v, x, y, z - 1)) *
+                     0.5);
+}
+
+TEST(Volume, InteriorFetchMatchesClampedFormAtRandomPoints) {
+  const Volume v = random_volume(9, 7, 5, 21);
+  util::Rng rng(22);
+  for (int i = 0; i < 2000; ++i) {
+    expect_bit_identical(v, rng.uniform(0.0, 8.0), rng.uniform(0.0, 6.0),
+                         rng.uniform(0.0, 4.0));
+  }
+}
+
+TEST(Volume, BoundaryFetchMatchesClampedFormOnFacesEdgesAndCorners) {
+  // Per axis: outside below, on 0, interior, the last full cell, on
+  // n-1, just past n-1, and outside above. Every combination puts the
+  // point on a face, an edge, a corner or inside.
+  const auto coords = [](int n) {
+    const double hi = n - 1.0;
+    return std::vector<double>{-2.5, -1e-9, 0.0, 0.5, hi - 0.5, hi,
+                               hi + 1e-9, hi + 0.5, hi + 3.0};
+  };
+  for (const auto& dims : std::vector<std::array<int, 3>>{
+           {6, 5, 4}, {2, 2, 2}, {1, 8, 8}, {8, 1, 8}, {8, 8, 1}, {1, 1, 1},
+           {1, 1, 5}}) {
+    const Volume v = random_volume(dims[0], dims[1], dims[2], 31);
+    for (const double x : coords(dims[0])) {
+      for (const double y : coords(dims[1])) {
+        for (const double z : coords(dims[2])) {
+          expect_bit_identical(v, x, y, z);
+        }
+      }
+    }
+  }
 }
 
 TEST(Vec3, BasicOps) {
